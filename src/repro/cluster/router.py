@@ -36,13 +36,15 @@ import json
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 from urllib.parse import urlencode
+
+import numpy as np
 
 from repro import obs
 from repro.cluster.hashring import HashRing
 from repro.cluster.merge import merge_flows_payloads, merge_population_payloads
-from repro.data.schema import Tweet
+from repro.data.schema import TweetBatch
 from repro.serve.app import ApiError, EstimationApp
 
 #: Seconds a worker waits on one peer leg before failing the request.
@@ -72,14 +74,17 @@ def http_transport(method: str, url: str, body: dict | None) -> tuple[int, dict]
             return exc.code, {"error": {"code": exc.code, "message": str(exc)}}
 
 
-def _tweet_record(tweet: Tweet) -> dict:
-    """Re-serialise a parsed tweet for a peer's ingest endpoint."""
-    return {
-        "user_id": tweet.user_id,
-        "timestamp": tweet.timestamp,
-        "lat": tweet.lat,
-        "lon": tweet.lon,
-    }
+def _tweet_records(batch: TweetBatch) -> list[dict]:
+    """Re-serialise a parsed batch for a peer's ingest endpoint."""
+    return [
+        {"user_id": user_id, "timestamp": timestamp, "lat": lat, "lon": lon}
+        for user_id, timestamp, lat, lon in zip(
+            batch.user_ids.tolist(),
+            batch.timestamps.tolist(),
+            batch.lats.tolist(),
+            batch.lons.tolist(),
+        )
+    ]
 
 
 class ShardRouter:
@@ -146,11 +151,13 @@ class ShardRouter:
 
     # -- ingest --------------------------------------------------------
 
-    def route_ingest(self, tweets: Sequence[Tweet]) -> tuple[int, dict]:
+    def route_ingest(self, batch: TweetBatch) -> tuple[int, dict]:
         """Split a parsed batch by ring owner; apply/forward each slice."""
-        slices: dict[int, list[Tweet]] = {}
-        for tweet in tweets:
-            slices.setdefault(self.ring.owner(tweet.user_id), []).append(tweet)
+        owners = np.array([self.ring.owner(u) for u in batch.user_ids.tolist()])
+        slices = {
+            int(owner): batch.take(np.flatnonzero(owners == owner))
+            for owner in np.unique(owners)
+        }
         if len(slices) == 1:
             (owner,) = slices
             if owner != self.shard:
@@ -163,7 +170,8 @@ class ShardRouter:
                         "shard": owner,
                     }
                 }
-        local = slices.pop(self.shard, [])
+        local = slices.pop(self.shard, None)
+        n_local = 0 if local is None else len(local)
         futures = {
             owner: self._pool.submit(
                 self._call,
@@ -171,13 +179,13 @@ class ShardRouter:
                 "POST",
                 "/v1/ingest",
                 {},
-                {"tweets": [_tweet_record(t) for t in slice_]},
+                {"tweets": _tweet_records(slice_)},
             )
             for owner, slice_ in slices.items()
         }
         payload = (
             self.app.ingest_apply(local)
-            if local
+            if local is not None
             else {"accepted": 0, "dropped_stale": 0, "anomalies_raised": 0}
         )
         forwarded: dict[str, int] = {}
@@ -205,11 +213,11 @@ class ShardRouter:
             raise ApiError(
                 502,
                 f"ingest forward to shard(s) {failed} failed; "
-                f"local slice of {len(local)} tweets was applied",
+                f"local slice of {n_local} tweets was applied",
             )
         payload["routing"] = {
             "shard": self.shard,
-            "local": len(local),
+            "local": n_local,
             "forwarded": forwarded,
         }
         obs.counter("cluster.ingest_routed")

@@ -12,25 +12,32 @@ Two kernels cover every cadence:
 
 * :func:`label_corpus` — spatial-index-accelerated labelling of a whole
   corpus (per-area radius queries with pruning); the batch hot path.
-* :func:`label_points` — dense vectorised labelling of coordinate
-  arrays; the micro-batch kernel the streaming wrapper flushes through.
+* :func:`label_points` — vectorised labelling of coordinate arrays
+  (dense for the paper's worlds, grid-indexed at country scale); the
+  micro-batch kernel the streaming wrapper flushes through.
 
 Both resolve overlapping ε-discs identically: the tweet belongs to the
 *nearest* qualifying centre, ties broken toward the earlier area index,
 boundary inclusive (``distance <= ε``).  :class:`MicroBatchLabeler`
 wraps :func:`label_points` for streaming consumers that receive tweets
 one at a time but want vectorised throughput.
+
+Live ingest labels each batch once with :func:`label_batch`, which
+returns the labels together with the sparse (CSR) ε-membership that
+population counting needs (:func:`label_members`); the monitor and the
+summary store both consume that one :class:`LabelledBatch`.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro import obs
 from repro.core.world import World
-from repro.data.schema import Tweet
+from repro.data.schema import Tweet, TweetBatch
 from repro.geo.distance import points_to_point_km
 
 # build_index moved down into repro.geo.index so World can reach it
@@ -104,11 +111,7 @@ def label_points(world: World, lats: np.ndarray, lons: np.ndarray) -> np.ndarray
         if world.n_areas > DENSE_AREA_THRESHOLD:
             labels = world.center_grid.label_points(lats, lons)
         else:
-            distances = point_area_distances(world, lats, lons)
-            outside = distances > world.radius_km
-            distances[outside] = np.inf
-            labels = np.argmin(distances, axis=1).astype(np.int64)
-            labels[np.all(outside, axis=1)] = -1
+            labels = _nearest_within(point_area_distances(world, lats, lons), world.radius_km)
         sp.set(labelled=int((labels >= 0).sum()))
     obs.counter("core.points_labelled", int(lats.size))
     return labels
@@ -127,8 +130,16 @@ def label_points_dense(world: World, lats: np.ndarray, lons: np.ndarray) -> np.n
         raise ValueError("lats/lons must be equal-length 1-D arrays")
     if lats.size == 0 or world.n_areas == 0:
         return np.full(lats.size, -1, dtype=np.int64)
-    distances = point_area_distances(world, lats, lons)
-    outside = distances > world.radius_km
+    return _nearest_within(point_area_distances(world, lats, lons), world.radius_km)
+
+
+def _nearest_within(distances: np.ndarray, radius_km: float) -> np.ndarray:
+    """Masked argmin over a dense distance matrix (overwrites it).
+
+    First minimum wins, so ties resolve to the earlier area; rows with
+    no centre within ε label -1.
+    """
+    outside = distances > radius_km
     distances[outside] = np.inf
     labels = np.argmin(distances, axis=1).astype(np.int64)
     labels[np.all(outside, axis=1)] = -1
@@ -167,9 +178,116 @@ def containing_areas(world: World, lat: float, lon: float) -> np.ndarray:
 
 
 def membership_points(world: World, lats: np.ndarray, lons: np.ndarray) -> np.ndarray:
-    """Dense boolean ``(n_points, n_areas)`` ε-disc membership matrix."""
+    """Dense boolean ``(n_points, n_areas)`` ε-disc membership matrix.
+
+    The reference the equivalence suite checks :func:`label_members`
+    against; production paths use the sparse form.
+    """
     distances = point_area_distances(world, lats, lons)
     return distances <= world.radius_km
+
+
+def label_members(
+    world: World, lats: np.ndarray, lons: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Labels and sparse ε-membership of coordinate arrays, in one pass.
+
+    Returns ``(labels, indptr, areas)``: ``labels`` equals
+    :func:`label_points`, and the areas whose ε-disc contains point
+    ``i`` are ``areas[indptr[i]:indptr[i + 1]]`` in ascending order —
+    row ``i`` of :func:`membership_points` in CSR form.  Country-scale
+    worlds get both from one :class:`~repro.geo.index.CenterGridIndex`
+    candidate scan; small worlds compute the dense distance matrix once
+    and derive both from it, so the goldens keep their exact arithmetic.
+    """
+    lats = np.asarray(lats, dtype=np.float64)
+    lons = np.asarray(lons, dtype=np.float64)
+    if lats.shape != lons.shape or lats.ndim != 1:
+        raise ValueError("lats/lons must be equal-length 1-D arrays")
+    n = lats.size
+    if n == 0 or world.n_areas == 0:
+        return (
+            np.full(n, -1, dtype=np.int64),
+            np.zeros(n + 1, dtype=np.int64),
+            np.empty(0, dtype=np.int64),
+        )
+    with obs.span("core.label_members", points=n, areas=world.n_areas) as sp:
+        if world.n_areas > DENSE_AREA_THRESHOLD:
+            labels, indptr, areas = world.center_grid.label_members(lats, lons)
+        else:
+            distances = point_area_distances(world, lats, lons)
+            rows, areas = np.nonzero(distances <= world.radius_km)
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+            areas = areas.astype(np.int64)
+            labels = _nearest_within(distances, world.radius_km)
+        sp.set(labelled=int((labels >= 0).sum()), memberships=int(areas.size))
+    obs.counter("core.points_labelled", n)
+    return labels, indptr, areas
+
+
+@dataclass(frozen=True)
+class LabelledBatch:
+    """A time-ordered tweet batch labelled once for every consumer.
+
+    ``labels`` is each row's nearest area within ε (or -1), the OD
+    rule's input; the CSR pair ``member_indptr``/``member_areas`` lists
+    every area whose ε-disc contains the row, the population rule's
+    input.  Both index into ``world``.  Live ingest builds one per
+    request (:func:`label_batch`) and hands it to both the mobility
+    monitor and the summary store.
+    """
+
+    world: World
+    tweets: TweetBatch
+    labels: np.ndarray
+    member_indptr: np.ndarray
+    member_areas: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.tweets)
+
+    @property
+    def timestamps(self) -> np.ndarray:
+        """The rows' timestamps (ascending)."""
+        return self.tweets.timestamps
+
+    def members(self, row: int) -> np.ndarray:
+        """Areas whose ε-disc contains ``row``."""
+        return self.member_areas[self.member_indptr[row] : self.member_indptr[row + 1]]
+
+    def rows(self, start: int, stop: int) -> "LabelledBatch":
+        """Rows ``[start, stop)`` as their own batch (column slices are views)."""
+        indptr = self.member_indptr[start : stop + 1]
+        return LabelledBatch(
+            world=self.world,
+            tweets=self.tweets.take(slice(start, stop)),
+            labels=self.labels[start:stop],
+            member_indptr=indptr - indptr[0],
+            member_areas=self.member_areas[indptr[0] : indptr[-1]],
+        )
+
+    def not_before(self, watermark: float) -> "LabelledBatch":
+        """The rows with ``timestamp >= watermark``: the stream's late rule.
+
+        Rows are ascending, so the late ones are a prefix found by one
+        binary search.
+        """
+        start = int(np.searchsorted(self.timestamps, watermark, side="left"))
+        return self if start == 0 else self.rows(start, len(self))
+
+    def require_world(self, world: World) -> None:
+        """Raise unless the labels index into ``world``'s areas."""
+        if self.world != world:
+            raise ValueError("batch was labelled over a different area system")
+
+
+def label_batch(world: World, tweets: TweetBatch) -> LabelledBatch:
+    """Label a time-ordered :class:`TweetBatch` once: labels plus membership."""
+    labels, indptr, areas = label_members(world, tweets.lats, tweets.lons)
+    return LabelledBatch(
+        world=world, tweets=tweets, labels=labels, member_indptr=indptr, member_areas=areas
+    )
 
 
 def label_corpus(
@@ -266,9 +384,8 @@ class MicroBatchLabeler:
 
     The labels are pure functions of the coordinates, so batching never
     changes a result — only when it becomes available.  Consumers that
-    need a label *synchronously* per tweet (the online counters' scalar
-    ``push``) use :func:`label_point` instead; both run the same
-    arithmetic.
+    need a label *synchronously* per tweet use :func:`label_point`
+    instead; both run the same arithmetic.
     """
 
     def __init__(self, world: World, batch_size: int = DEFAULT_MICRO_BATCH) -> None:
@@ -298,7 +415,11 @@ class MicroBatchLabeler:
         return list(zip(batch, (int(label) for label in labels)))
 
     def label_batch(self, tweets: Sequence[Tweet]) -> np.ndarray:
-        """Label an explicit batch through the dense kernel."""
+        """Label an explicit batch through :func:`label_points`.
+
+        Dense below :data:`DENSE_AREA_THRESHOLD` areas, grid-indexed
+        above it; bitwise the same labels either way.
+        """
         n = len(tweets)
         lats = np.fromiter((t.lat for t in tweets), np.float64, count=n)
         lons = np.fromiter((t.lon for t in tweets), np.float64, count=n)

@@ -8,14 +8,19 @@ social-graph features, so neither do we.
 the CSV/JSONL readers in :mod:`repro.data.io` and the HTTP ingest
 endpoint in ``repro.serve`` — so a malformed ``lat``/``lon``/``timestamp``
 produces the same :class:`SchemaError` message no matter which door the
-record came through.
+record came through.  :func:`parse_tweet_batch` is its columnar form for
+whole request bodies: it fills a :class:`TweetBatch` of numpy columns
+directly and defers to :func:`parse_tweet_record` for any record it
+cannot take, so the accepted inputs and the error messages are the same.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Sequence
+
+import numpy as np
 
 from repro.geo.coords import (
     Coordinate,
@@ -109,6 +114,133 @@ def parse_tweet_record(record: Mapping[str, Any]) -> Tweet:
         )
     except CoordinateError as exc:
         raise SchemaError(str(exc)) from exc
+
+
+class RecordError(SchemaError):
+    """A :class:`SchemaError` of one record inside a batch, with its position."""
+
+    def __init__(self, position: int, error: SchemaError) -> None:
+        super().__init__(f"[{position}]: {error}")
+        self.position = position
+        self.error = error
+
+
+@dataclass(frozen=True)
+class TweetBatch:
+    """A block of tweets as aligned numpy columns.
+
+    The columnar counterpart of a ``list[Tweet]``: one array per field,
+    already validated and longitude-normalised exactly as
+    :class:`Tweet` would be.  Live ingest parses each request into one
+    batch, sorts it once and hands the same columns to every consumer.
+    """
+
+    user_ids: np.ndarray
+    timestamps: np.ndarray
+    lats: np.ndarray
+    lons: np.ndarray
+    tweet_ids: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.timestamps.size)
+
+    @classmethod
+    def from_tweets(cls, tweets: Sequence[Tweet]) -> "TweetBatch":
+        """Columns of already-validated :class:`Tweet` objects, in order."""
+        n = len(tweets)
+        return cls(
+            user_ids=np.fromiter((t.user_id for t in tweets), np.int64, count=n),
+            timestamps=np.fromiter((t.timestamp for t in tweets), np.float64, count=n),
+            lats=np.fromiter((t.lat for t in tweets), np.float64, count=n),
+            lons=np.fromiter((t.lon for t in tweets), np.float64, count=n),
+            tweet_ids=np.fromiter((t.tweet_id for t in tweets), np.int64, count=n),
+        )
+
+    def take(self, rows: np.ndarray | slice) -> "TweetBatch":
+        """The sub-batch at ``rows`` (an index array or a slice)."""
+        return TweetBatch(
+            user_ids=self.user_ids[rows],
+            timestamps=self.timestamps[rows],
+            lats=self.lats[rows],
+            lons=self.lons[rows],
+            tweet_ids=self.tweet_ids[rows],
+        )
+
+    def sorted_by_time(self) -> "TweetBatch":
+        """The batch in ascending timestamp order; ties keep their order."""
+        if np.all(self.timestamps[1:] >= self.timestamps[:-1]):
+            return self
+        return self.take(np.argsort(self.timestamps, kind="stable"))
+
+
+def _normalize_longitudes(lons: np.ndarray) -> np.ndarray:
+    """Vectorised :func:`~repro.geo.coords.normalize_longitude`.
+
+    ``np.fmod`` is C ``fmod``, as is ``math.fmod``, and the remaining
+    steps are the same IEEE operations, so every element equals the
+    scalar result bit for bit.
+    """
+    wrapped = np.fmod(lons + 180.0, 360.0)
+    wrapped = np.where(wrapped < 0, wrapped + 360.0, wrapped)
+    return wrapped - 180.0
+
+
+_INT64 = np.iinfo(np.int64)
+
+
+def _parse_records_one_by_one(records: Sequence[Any]) -> TweetBatch:
+    """The per-record path: raises the first bad record's exact error."""
+    tweets = []
+    for position, record in enumerate(records):
+        try:
+            tweet = parse_tweet_record(record)
+            for name in ("user_id", "tweet_id"):
+                value = getattr(tweet, name)
+                if not _INT64.min <= value <= _INT64.max:
+                    raise SchemaError(f"tweet field {name!r} does not fit in 64 bits: {value!r}")
+        except SchemaError as exc:
+            raise RecordError(position, exc) from exc
+        tweets.append(tweet)
+    return TweetBatch.from_tweets(tweets)
+
+
+def parse_tweet_batch(records: Sequence[Any]) -> TweetBatch:
+    """Parse a list of tweet objects straight into a :class:`TweetBatch`.
+
+    Accepts exactly what :func:`parse_tweet_record` accepts, record by
+    record: fields go through the same ``int``/``float`` converters and
+    the range checks run vectorised over the columns.  When any record
+    fails them, the batch is re-parsed record by record, so the error is
+    :func:`parse_tweet_record`'s own, raised as a :class:`RecordError`
+    that names the record's position.
+    """
+    try:
+        user_ids = np.array([int(r["user_id"]) for r in records], dtype=np.int64)
+        timestamps = np.array([float(r["timestamp"]) for r in records], dtype=np.float64)
+        lats = np.array([float(r["lat"]) for r in records], dtype=np.float64)
+        lons = np.array([float(r["lon"]) for r in records], dtype=np.float64)
+        tweet_ids = np.array(
+            [int(r["tweet_id"]) if "tweet_id" in r else -1 for r in records],
+            dtype=np.int64,
+        )
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return _parse_records_one_by_one(records)
+    valid = (
+        (user_ids >= 0)
+        & np.isfinite(timestamps)
+        & (lats >= -90.0)
+        & (lats <= 90.0)
+        & np.isfinite(lons)
+    )
+    if not valid.all():
+        return _parse_records_one_by_one(records)
+    return TweetBatch(
+        user_ids=user_ids,
+        timestamps=timestamps,
+        lats=lats,
+        lons=_normalize_longitudes(lons),
+        tweet_ids=tweet_ids,
+    )
 
 
 @dataclass(frozen=True, slots=True)

@@ -18,6 +18,7 @@ import numpy as np
 
 from repro import obs
 from repro.core.accumulate import od_matrix_from_labels
+from repro.core.world import World
 from repro.data.corpus import TweetCorpus
 from repro.data.gazetteer import Area
 from repro.geo.distance import pairwise_distance_matrix
@@ -69,20 +70,49 @@ class ODFlows:
         if min_flow < 0:
             raise ValueError(f"min_flow must be non-negative, got {min_flow}")
         n = self.n_areas
-        populations = self.populations()
-        distances = self.distance_matrix_km()
         source, dest = np.nonzero(
             (self.matrix >= max(min_flow, 1)) & ~np.eye(n, dtype=bool)
         )
-        obs.counter("extraction.od_pairs_built", int(source.size))
-        return ODPairs(
-            source=source,
-            dest=dest,
-            m=populations[source],
-            n=populations[dest],
-            d_km=distances[source, dest],
-            flow=self.matrix[source, dest].astype(np.float64),
+        return _od_pairs(
+            self.populations(),
+            self.distance_matrix_km(),
+            source,
+            dest,
+            self.matrix[source, dest],
         )
+
+
+def _od_pairs(
+    populations: np.ndarray,
+    distances: np.ndarray,
+    source: np.ndarray,
+    dest: np.ndarray,
+    flow: np.ndarray,
+) -> "ODPairs":
+    obs.counter("extraction.od_pairs_built", int(source.size))
+    return ODPairs(
+        source=source,
+        dest=dest,
+        m=populations[source],
+        n=populations[dest],
+        d_km=distances[source, dest],
+        flow=flow.astype(np.float64),
+    )
+
+
+def sparse_od_pairs(
+    world: World, source: np.ndarray, dest: np.ndarray, flow: np.ndarray
+) -> "ODPairs":
+    """:meth:`ODFlows.pairs` for sparse flows, without the dense matrix.
+
+    ``(source, dest, flow)`` must list each off-diagonal pair with
+    ``flow >= 1`` once, in row-major order — what
+    :meth:`repro.core.accumulate.ODAccumulator.flow_pairs` returns.
+    Masses and distances come from the world's cached arrays, so a live
+    refit costs what the window holds, and the result equals
+    ``ODFlows(world.areas, matrix).pairs()`` bit for bit.
+    """
+    return _od_pairs(world.populations, world.distance_matrix_km, source, dest, flow)
 
 
 @dataclass(frozen=True)

@@ -353,14 +353,37 @@ class CenterGridIndex:
         grid box are provably farther than ε from every centre and
         label -1 without any distance computation.
         """
+        return self._scan(lats_deg, lons_deg, with_members=False)[0]
+
+    def label_members(
+        self, lats_deg: np.ndarray, lons_deg: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Labels plus the CSR ε-membership, from one candidate scan.
+
+        Returns ``(labels, indptr, areas)``: ``labels`` as
+        :meth:`label_points`, and for point ``i`` the centres whose
+        ε-disc contains it (``distance <= ε``) are
+        ``areas[indptr[i]:indptr[i + 1]]``, ascending.  Membership uses
+        the same candidate distances as the labels, so it equals the
+        dense ``distances <= ε`` matrix entry for entry (non-candidates
+        are provably outside ε).
+        """
+        return self._scan(lats_deg, lons_deg, with_members=True)
+
+    def _scan(
+        self, lats_deg: np.ndarray, lons_deg: np.ndarray, with_members: bool
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         lats = np.asarray(lats_deg, dtype=np.float64)
         lons = np.asarray(lons_deg, dtype=np.float64)
         if lats.shape != lons.shape or lats.ndim != 1:
             raise ValueError("lats/lons must be equal-length 1-D arrays")
         n = lats.size
         labels = np.full(n, -1, dtype=np.int64)
+        indptr = np.zeros(n + 1, dtype=np.int64)
         if n == 0:
-            return labels
+            return labels, indptr, np.empty(0, dtype=np.int64)
+        member_rows: list[np.ndarray] = []
+        member_areas: list[np.ndarray] = []
         cells = self.spec.cells_of(lats, lons)
         cell_ids = cells[:, 0] * self.spec.n_cols + cells[:, 1]
         cell_ids[cells[:, 0] < 0] = -1
@@ -386,11 +409,22 @@ class CenterGridIndex:
                     group_lons,
                     (self._lats[area_index], self._lons[area_index]),
                 )
-                closer = (dists <= self.radius_km) & (dists < best)
+                inside = dists <= self.radius_km
+                closer = inside & (dists < best)
                 best[closer] = dists[closer]
                 best_idx[closer] = area_index
+                if with_members and inside.any():
+                    hits = rows[inside]
+                    member_rows.append(hits)
+                    member_areas.append(np.full(hits.size, area_index, dtype=np.int64))
             labels[rows] = best_idx
-        return labels
+        if not member_rows:
+            return labels, indptr, np.empty(0, dtype=np.int64)
+        all_rows = np.concatenate(member_rows)
+        all_areas = np.concatenate(member_areas)
+        by_row = np.lexsort((all_areas, all_rows))
+        np.cumsum(np.bincount(all_rows, minlength=n), out=indptr[1:])
+        return labels, indptr, all_areas[by_row]
 
     def label_point(self, lat: float, lon: float) -> int:
         """Scalar convenience over :meth:`label_points`."""

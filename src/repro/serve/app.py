@@ -95,9 +95,10 @@ from urllib.parse import parse_qsl, urlsplit
 import numpy as np
 
 from repro import obs
+from repro.core.label import label_batch
 from repro.core.world import World
 from repro.data.gazetteer import Scale, gazetteer_from_spec
-from repro.data.schema import SchemaError
+from repro.data.schema import RecordError, TweetBatch, parse_tweet_batch
 from repro.pipeline.store import ArtifactStore
 from repro.serve.cache import LRUCache
 from repro.serve.ingest import IngestService
@@ -151,6 +152,10 @@ class EstimationApp:
         summary: SummaryStore | None = None,
         summary_scale: Scale = Scale.NATIONAL,
     ) -> None:
+        if summary is not None and summary.world != ingest.world:
+            raise ValueError(
+                "the monitor and the summary store must share one area system"
+            )
         self.registry = registry
         self.ingest = ingest
         self.summary = summary
@@ -604,31 +609,35 @@ class EstimationApp:
             raise ApiError(
                 413, f"at most {MAX_INGEST_TWEETS} tweets per batch, got {len(raw)}"
             )
-        tweets = []
-        for position, record in enumerate(raw):
-            try:
-                tweets.append(IngestService.parse_tweet(record))
-            except SchemaError as exc:
-                raise ApiError(400, f"tweets[{position}]: {exc}") from exc
+        try:
+            with obs.span("serve.ingest.parse", tweets=len(raw)):
+                batch = parse_tweet_batch(raw)
+        except RecordError as exc:
+            raise ApiError(400, f"tweets[{exc.position}]: {exc.error}") from exc
         if self._shard_routed(query):
-            return self.shard_router.route_ingest(tweets)
-        return 200, self.ingest_apply(tweets)
+            return self.shard_router.route_ingest(batch)
+        return 200, self.ingest_apply(batch)
 
-    def ingest_apply(self, tweets: list) -> dict:
+    def ingest_apply(self, batch: TweetBatch) -> dict:
         """Apply a parsed tweet batch to this process's own state.
 
-        The post-routing half of ingest: the monitor plus (when wired)
-        the summary store's minute tiles.  The shard router calls this
-        directly for the locally-owned slice of a split batch.
+        The post-routing half of ingest, in one columnar pass: the batch
+        is sorted by timestamp once and labelled once — nearest-area
+        labels plus sparse ε-membership — and that one block feeds the
+        monitor and (when wired) the summary store's minute tiles.  Each
+        consumer drops the rows behind its own watermark (a prefix of
+        the sorted block) under its own lock.  The shard router calls
+        this directly for the locally-owned slice of a split batch.
         """
-        result = self.ingest.ingest(tweets)
+        block = label_batch(self.ingest.world, batch.sorted_by_time())
+        result = self.ingest.ingest(block)
         payload = {
             "accepted": result.accepted,
             "dropped_stale": result.dropped_stale,
             "anomalies_raised": result.anomalies_raised,
         }
         if self.summary is not None:
-            outcome = self.summary.ingest(tweets)
+            outcome = self.summary.ingest(block)
             payload["summary"] = {
                 "accepted": outcome.accepted,
                 "dropped_late": outcome.dropped_late,
@@ -892,21 +901,21 @@ def create_app(
     if preload:
         registry.load()
     resolved = gazetteer_from_spec(gazetteer)
-    ingest = IngestService(
-        resolved.areas_for_scale(monitor_scale),
-        radius_km=resolved.search_radius_km(monitor_scale),
-        window_seconds=window_seconds,
+    # One area system for the monitor and the summary store: one
+    # labelling index and one distance cache, and each ingest batch is
+    # labelled once for both.
+    world = World.from_scale(
+        monitor_scale, gazetteer=None if resolved.is_legacy else resolved
     )
+    ingest = IngestService(world, radius_km=world.radius_km, window_seconds=window_seconds)
     summary = None
     if with_summary:
         if resolved.is_legacy:
             default_namespace = monitor_scale.value
-            summary_world = World.from_scale(monitor_scale)
         else:
             default_namespace = f"{resolved.namespace_slug}-{monitor_scale.value}"
-            summary_world = World.from_scale(monitor_scale, gazetteer=resolved)
         summary = SummaryStore(
-            summary_world,
+            world,
             artifacts=store,
             namespace=summary_namespace or default_namespace,
         )

@@ -8,6 +8,11 @@ sorted by timestamp before pushing, and tweets older than the stream's
 high-water mark are *dropped and counted* rather than raising — an HTTP
 client cannot be trusted to deliver globally ordered batches.
 
+The endpoint hands :meth:`IngestService.ingest` a
+:class:`~repro.core.label.LabelledBatch`: the request was sorted and
+labelled once, and the summary store consumes the same block.  A
+``Tweet`` list is still accepted, and is labelled on the way in.
+
 Reads (``/v1/anomalies``) take the same lock, so anomaly listings are
 consistent with completed batches — a deliberate single-writer design,
 documented in DESIGN.md.
@@ -19,9 +24,10 @@ import threading
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.core.label import LabelledBatch, label_batch
 from repro.core.world import World
 from repro.data.gazetteer import Area
-from repro.data.schema import Tweet, parse_tweet_record
+from repro.data.schema import Tweet, TweetBatch, parse_tweet_record
 from repro.stream.monitor import FlowAnomaly, MobilityMonitor
 
 
@@ -63,26 +69,28 @@ class IngestService:
         """
         return parse_tweet_record(record)
 
-    def ingest(self, tweets: Sequence[Tweet]) -> IngestResult:
+    @property
+    def world(self) -> World:
+        """The monitored area system."""
+        return self._monitor.world
+
+    def ingest(self, tweets: Sequence[Tweet] | LabelledBatch) -> IngestResult:
         """Push one batch through the monitor, oldest first.
 
-        Within-batch disorder is repaired by sorting; tweets behind the
-        monitor's high-water mark are dropped (counted, not an error).
-        The surviving batch is labelled in one vectorised pass
-        (:meth:`MobilityMonitor.push_batch`) — the same kernel the batch
-        extractors run.
+        Takes the endpoint's :class:`~repro.core.label.LabelledBatch`
+        (sorted and labelled once, shared with the summary store) or a
+        ``Tweet`` list, which is sorted and labelled here.  Rows behind
+        the monitor's high-water mark — a prefix of the sorted batch,
+        found by one binary search — are dropped (counted, not an error).
         """
-        ordered = sorted(tweets, key=lambda t: t.timestamp)
+        if not isinstance(tweets, LabelledBatch):
+            batch = TweetBatch.from_tweets(tweets).sorted_by_time()
+            tweets = label_batch(self.world, batch)
         with self._lock:
-            # The batch is ascending, so only a prefix can sit behind
-            # the monitor's high-water mark.
-            watermark = self._monitor.counter._latest
-            keep = 0
-            while keep < len(ordered) and ordered[keep].timestamp < watermark:
-                keep += 1
-            dropped = keep
-            accepted = len(ordered) - dropped
-            anomalies = len(self._monitor.push_batch(ordered[keep:]))
+            kept = tweets.not_before(self._monitor.counter.latest)
+            dropped = len(tweets) - len(kept)
+            accepted = len(kept)
+            anomalies = len(self._monitor.push_batch(kept))
             self._accepted += accepted
             self._dropped_stale += dropped
         return IngestResult(

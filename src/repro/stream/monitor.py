@@ -6,6 +6,12 @@ the gravity model, and flag pairs whose current flow deviates from the
 long-run baseline — the signal a disease-response team would watch for
 (mass movement out of an outbreak city, or a travel-restriction taking
 effect).
+
+Every check works on the sparse support — the pairs with a non-zero
+windowed flow or baseline — in row-major pair order, so a check costs
+what the window holds rather than ``n_areas²``, and its anomalies,
+baselines and fits equal the dense formulation bit for bit (pinned
+against a dense oracle in ``tests/test_monitor_oracle.py``).
 """
 
 from __future__ import annotations
@@ -15,10 +21,12 @@ from typing import Sequence
 
 import numpy as np
 
+from repro import obs
+from repro.core.label import LabelledBatch, label_batch
 from repro.core.world import World
 from repro.data.gazetteer import Area
-from repro.data.schema import Tweet
-from repro.extraction.mobility import ODFlows
+from repro.data.schema import Tweet, TweetBatch
+from repro.extraction.mobility import sparse_od_pairs
 from repro.models.gravity import FittedGravity, GravityModel
 from repro.stream.online import OnlineMobilityCounter
 
@@ -89,10 +97,12 @@ class MobilityMonitor:
             fill_checks = int(np.ceil(window_seconds / self.check_interval))
             warmup_checks = fill_checks + 2
         self.warmup_checks = warmup_checks
-        n = len(self.areas)
-        self._baseline = np.zeros((n, n), dtype=np.float64)
+        # EMA baseline, sparse: flat pair keys ``source * n + dest``
+        # (ascending) and their non-zero values.
+        self._baseline_keys = np.empty(0, dtype=np.int64)
+        self._baseline_values = np.empty(0, dtype=np.float64)
         self._checks_done = 0
-        self._next_check = None
+        self._next_check: float | None = None
         self._anomalies: list[FlowAnomaly] = []
         self._fit_history: list[tuple[float, FittedGravity]] = []
 
@@ -101,29 +111,35 @@ class MobilityMonitor:
         self.counter.push(tweet)
         return self._maybe_check(tweet.timestamp)
 
-    def push_batch(self, tweets: Sequence[Tweet]) -> list[FlowAnomaly]:
+    def push_batch(self, tweets: Sequence[Tweet] | LabelledBatch) -> list[FlowAnomaly]:
         """Ingest a time-ordered batch; returns all anomalies raised.
 
-        The batch is labelled in one pass through the micro-batch kernel
-        (via :meth:`OnlineMobilityCounter.push_batch` chunks), while the
-        check/refit schedule fires exactly as it would under per-tweet
-        ``push`` — checks are driven by stream time, not call shape.
+        Takes a :class:`~repro.core.label.LabelledBatch` (the ingest
+        endpoint's, labelled once for the monitor and the summary store)
+        or a ``Tweet`` list, labelled here by
+        :func:`~repro.core.label.label_batch`.  The check/refit schedule
+        fires exactly as it would under per-tweet ``push`` — checks are
+        driven by stream time, not call shape: the counter is fed up to
+        (and including) the row that crosses the next check boundary,
+        then that check runs.
         """
+        if not isinstance(tweets, LabelledBatch):
+            if not tweets:
+                return []
+            tweets = label_batch(self.world, TweetBatch.from_tweets(tweets))
+        block = tweets
         anomalies: list[FlowAnomaly] = []
+        timestamps = block.timestamps
+        n = len(block)
         start = 0
-        timestamps = [tweet.timestamp for tweet in tweets]
-        while start < len(tweets):
-            # Feed the counter up to (and including) the tweet that
-            # crosses the next check boundary, then run that check.
+        while start < n:
             if self._next_check is None:
                 stop = start + 1
             else:
-                stop = start
-                while stop < len(tweets) and timestamps[stop] < self._next_check:
-                    stop += 1
-                stop = min(stop + 1, len(tweets))
-            self.counter.push_batch(tweets[start:stop])
-            anomalies.extend(self._maybe_check(timestamps[stop - 1]))
+                ahead = np.searchsorted(timestamps[start:], self._next_check, side="left")
+                stop = min(start + int(ahead) + 1, n)
+            self.counter.push_batch(block.rows(start, stop))
+            anomalies.extend(self._maybe_check(float(timestamps[stop - 1])))
             start = stop
         return anomalies
 
@@ -143,55 +159,78 @@ class MobilityMonitor:
         ``counter.advance_to``) so recently counted flows are examined
         even when no further tweet triggers a scheduled check.
         """
-        now = self.counter._latest
+        now = self.counter.latest
         if not np.isfinite(now):
             return []
         self._next_check = now + self.check_interval
         return self._check(now)
 
     def _check(self, now: float) -> list[FlowAnomaly]:
-        current = self.counter.flow_matrix().astype(np.float64)
-        anomalies: list[FlowAnomaly] = []
-        if self._checks_done >= self.warmup_checks:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(self._baseline > 0, current / self._baseline, np.nan)
-            rows, cols = np.nonzero(
-                (np.maximum(current, self._baseline) >= self.min_flow)
-                & np.isfinite(ratio)
-                & ((ratio >= self.anomaly_ratio) | (ratio <= 1.0 / self.anomaly_ratio))
-            )
-            for i, j in zip(rows, cols):
-                anomalies.append(
-                    FlowAnomaly(
-                        source=self.areas[i].name,
-                        dest=self.areas[j].name,
-                        observed=float(current[i, j]),
-                        baseline=float(self._baseline[i, j]),
-                        ratio=float(ratio[i, j]),
-                        timestamp=now,
+        n = self.world.n_areas
+        with obs.span("stream.monitor.check", checks_done=self._checks_done) as sp:
+            source, dest, counts = self.counter.flow_pairs()
+            flow_keys = source * n + dest
+            support = np.union1d(flow_keys, self._baseline_keys)
+            current = np.zeros(support.size, dtype=np.float64)
+            current[np.searchsorted(support, flow_keys)] = counts
+            baseline = np.zeros(support.size, dtype=np.float64)
+            baseline[np.searchsorted(support, self._baseline_keys)] = self._baseline_values
+            anomalies: list[FlowAnomaly] = []
+            if self._checks_done >= self.warmup_checks:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    ratio = np.where(baseline > 0, current / baseline, np.nan)
+                flagged = np.nonzero(
+                    (np.maximum(current, baseline) >= self.min_flow)
+                    & np.isfinite(ratio)
+                    & ((ratio >= self.anomaly_ratio) | (ratio <= 1.0 / self.anomaly_ratio))
+                )[0]
+                for k in flagged:
+                    i, j = divmod(int(support[k]), n)
+                    anomalies.append(
+                        FlowAnomaly(
+                            source=self.areas[i].name,
+                            dest=self.areas[j].name,
+                            observed=float(current[k]),
+                            baseline=float(baseline[k]),
+                            ratio=float(ratio[k]),
+                            timestamp=now,
+                        )
                     )
-                )
-        # Update the EMA baseline after checking, so an anomaly does not
-        # instantly launder itself into the baseline.
-        alpha = self.baseline_alpha
-        self._baseline = (1 - alpha) * self._baseline + alpha * current
-        self._checks_done += 1
-        self._refit(now)
+            # Update the EMA baseline after checking, so an anomaly does not
+            # instantly launder itself into the baseline.
+            alpha = self.baseline_alpha
+            updated = (1 - alpha) * baseline + alpha * current
+            nonzero = updated != 0
+            self._baseline_keys = support[nonzero]
+            self._baseline_values = updated[nonzero]
+            self._checks_done += 1
+            sp.set(pairs=int(support.size), anomalies=len(anomalies))
+            self._refit(now, source, dest, counts)
         self._anomalies.extend(anomalies)
         return anomalies
 
-    def _refit(self, now: float) -> None:
-        flows = ODFlows(
-            areas=self.areas, matrix=self.counter.flow_matrix()
-        )
-        pairs = flows.pairs()
-        if len(pairs) < 8:
-            return
-        try:
-            fitted = GravityModel(2).fit(pairs)
-        except ValueError:
-            return
-        self._fit_history.append((now, fitted))
+    def _refit(
+        self, now: float, source: np.ndarray, dest: np.ndarray, counts: np.ndarray
+    ) -> None:
+        with obs.span("stream.monitor.refit", pairs=int(counts.size)):
+            # Window pairs are all off-diagonal with flow >= 1, so each
+            # becomes a fitting pair: too few means no fit, and no need
+            # to touch the world's distance matrix yet.
+            if counts.size < 8:
+                return
+            pairs = sparse_od_pairs(self.world, source, dest, counts)
+            try:
+                fitted = GravityModel(2).fit(pairs)
+            except ValueError:
+                return
+            self._fit_history.append((now, fitted))
+
+    def baseline_matrix(self) -> np.ndarray:
+        """The EMA baseline as a dense ``(n, n)`` matrix (diagnostics)."""
+        n = self.world.n_areas
+        matrix = np.zeros(n * n, dtype=np.float64)
+        matrix[self._baseline_keys] = self._baseline_values
+        return matrix.reshape(n, n)
 
     @property
     def anomalies(self) -> list[FlowAnomaly]:

@@ -16,9 +16,13 @@ the equivalences are structural: the stream runs the same vectorised
 arithmetic as the batch extractors (the old scalar per-tweet linear
 scan, whose float sequence could drift from the batch path at disc
 boundaries, is gone).  ``push`` ingests one tweet; ``push_batch``
-ingests a time-ordered batch and labels it through the micro-batch
-kernel, which is the hot path for replays and the ingest endpoint.
-The equivalences are asserted in the test suite by replaying corpora
+ingests a time-ordered batch labelled once by
+:func:`repro.core.label.label_batch` (labels plus sparse ε-membership,
+dense below :data:`~repro.core.label.DENSE_AREA_THRESHOLD` areas and
+grid-indexed above).  :meth:`OnlineMobilityCounter.push_batch` also
+takes an already-labelled batch — the ingest endpoint's path, which
+labels a request once for the monitor and the summary store.  The
+equivalences are asserted in the test suite by replaying corpora
 through the counters with an infinite window.
 """
 
@@ -29,10 +33,10 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.accumulate import ODAccumulator, PopulationAccumulator
-from repro.core.label import containing_areas, label_point, label_points, membership_points
+from repro.core.label import LabelledBatch, containing_areas, label_batch, label_point
 from repro.core.world import World
 from repro.data.gazetteer import Area
-from repro.data.schema import Tweet
+from repro.data.schema import Tweet, TweetBatch
 from repro.stream.window import SlidingWindow, StreamOrderError
 
 
@@ -42,13 +46,6 @@ def _as_world(areas: Sequence[Area] | World, radius_km: float) -> World:
     if radius_km <= 0:
         raise ValueError(f"radius must be positive, got {radius_km}")
     return World.from_areas(areas, radius_km)
-
-
-def _batch_columns(tweets: Sequence[Tweet]) -> tuple[np.ndarray, np.ndarray]:
-    n = len(tweets)
-    lats = np.fromiter((t.lat for t in tweets), np.float64, count=n)
-    lons = np.fromiter((t.lon for t in tweets), np.float64, count=n)
-    return lats, lons
 
 
 class OnlinePopulationCounter:
@@ -89,18 +86,17 @@ class OnlinePopulationCounter:
                 self._remove(expired)
 
     def push_batch(self, tweets: Sequence[Tweet]) -> None:
-        """Ingest a time-ordered batch, labelled through the dense kernel.
+        """Ingest a time-ordered batch with one sparse membership pass.
 
         Equivalent to ``push`` per tweet — membership is a pure function
-        of the coordinates — but one vectorised membership computation
-        covers the whole batch.
+        of the coordinates — but one :func:`~repro.core.label.label_batch`
+        call covers the whole batch.
         """
         if not tweets:
             return
-        lats, lons = _batch_columns(tweets)
-        membership = membership_points(self.world, lats, lons)
+        block = label_batch(self.world, TweetBatch.from_tweets(tweets))
         for row, tweet in enumerate(tweets):
-            self._population.add(np.nonzero(membership[row])[0], tweet.user_id)
+            self._population.add(block.members(row).tolist(), tweet.user_id)
             if self._window is not None:
                 for expired in self._window.push(tweet):
                     self._remove(expired)
@@ -141,33 +137,60 @@ class OnlineMobilityCounter:
         self._latest = float("-inf")
 
     def push(self, tweet: Tweet) -> None:
-        """Ingest one tweet in time order."""
-        label = label_point(self.world, tweet.lat, tweet.lon)
-        self._push_labeled(tweet, label)
+        """Ingest one tweet in time order, labelled by :func:`label_point`.
 
-    def push_batch(self, tweets: Sequence[Tweet]) -> None:
-        """Ingest a time-ordered batch, labelled through the dense kernel.
-
-        Labels are precomputed in one vectorised pass (they depend only
-        on coordinates), then applied sequentially so ordering checks,
-        transition recording and window expiry behave exactly as a
-        ``push`` per tweet.
+        The scalar form of the same kernel arithmetic — one vectorised
+        call over the centres instead of a one-row batch — so a
+        tweet-at-a-time stream does not pay the batch set-up per tweet.
         """
-        if not tweets:
-            return
-        lats, lons = _batch_columns(tweets)
-        labels = label_points(self.world, lats, lons)
-        for tweet, label in zip(tweets, labels):
-            self._push_labeled(tweet, int(label))
-
-    def _push_labeled(self, tweet: Tweet, label: int) -> None:
         if tweet.timestamp < self._latest:
             raise StreamOrderError(
                 f"tweet at {tweet.timestamp} pushed after {self._latest}"
             )
         self._latest = tweet.timestamp
+        label = label_point(self.world, tweet.lat, tweet.lon)
         self._flows.observe(tweet.user_id, label, tweet.timestamp)
         self._expire(tweet.timestamp)
+
+    def push_batch(self, tweets: Sequence[Tweet] | LabelledBatch) -> None:
+        """Ingest a time-ordered batch, labelled once.
+
+        Takes a :class:`~repro.core.label.LabelledBatch` as the ingest
+        endpoint builds it, or a ``Tweet`` list, which is labelled here
+        in one :func:`~repro.core.label.label_batch` call.  Labels depend
+        only on coordinates, so labelling up front and then applying the
+        rows in order behaves exactly as a ``push`` per tweet.
+        Transitions are recorded row by row; window expiry runs once at
+        the end, which leaves the same state as expiring after every
+        row because expiry cutoffs only grow and nothing reads the
+        counts in between.
+        """
+        if not isinstance(tweets, LabelledBatch):
+            if not tweets:
+                return
+            tweets = label_batch(self.world, TweetBatch.from_tweets(tweets))
+        block = tweets
+        block.require_world(self.world)
+        if not len(block):
+            return
+        timestamps = block.timestamps
+        if timestamps[0] < self._latest or np.any(timestamps[1:] < timestamps[:-1]):
+            raise StreamOrderError(
+                f"batch starting at {timestamps[0]} is out of order "
+                f"(stream at {self._latest})"
+            )
+        observe = self._flows.observe
+        for user_id, label, timestamp in zip(
+            block.tweets.user_ids.tolist(), block.labels.tolist(), timestamps.tolist()
+        ):
+            observe(user_id, label, timestamp)
+        self._latest = float(timestamps[-1])
+        self._expire(self._latest)
+
+    @property
+    def latest(self) -> float:
+        """Newest stream time seen (-inf before any tweet)."""
+        return self._latest
 
     def advance_to(self, now: float) -> None:
         """Expire old transitions without ingesting a tweet."""
@@ -182,8 +205,12 @@ class OnlineMobilityCounter:
         self._flows.expire_until(now - self.window_seconds)
 
     def flow_matrix(self) -> np.ndarray:
-        """Transition counts in the current window."""
+        """Transition counts in the current window, as a dense matrix."""
         return self._flows.flow_matrix()
+
+    def flow_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(source, dest, count)`` of the window's non-zero pairs, row-major."""
+        return self._flows.flow_pairs()
 
     @property
     def total_transitions(self) -> int:

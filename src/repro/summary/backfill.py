@@ -7,8 +7,9 @@ the store existed.
 
 The batch construction reuses the kernel layer end to end: OD labels
 come from :func:`~repro.core.label.label_corpus` (the indexed batch
-kernel), ε-disc membership from
-:func:`~repro.core.label.membership_points`, and transition detection
+kernel), sparse ε-disc membership from
+:func:`~repro.core.label.label_members` (the kernel live ingest labels
+each request with), and transition detection
 is the vectorised consecutive-pair rule over the corpus's native
 ``(user, time)`` ordering — so a backfilled tile is **bit-identical**
 to the tile the streaming path would have produced from the same
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
-from repro.core.label import label_corpus, membership_points
+from repro.core.label import label_corpus, label_members
 from repro.core.world import World
 from repro.data.corpus import TweetCorpus
 from repro.data.gazetteer import Scale
@@ -39,7 +40,8 @@ from repro.pipeline.task import Task, TaskContext
 from repro.summary.store import SummaryStore
 from repro.summary.tiers import SummaryBucket, TimeTier, bucket_start
 
-#: Rows of dense membership computed per chunk, bounding peak memory.
+#: Rows labelled per membership chunk, bounding the dense kernel's
+#: distance matrix on small worlds.
 MEMBERSHIP_CHUNK = 65_536
 
 #: Code-version tag of the tile-build task (bump to invalidate caches).
@@ -101,18 +103,21 @@ def build_minute_buckets(
 
         # Population: each tweet counts toward every containing ε-disc,
         # attributed to its own minute.  Membership is computed in row
-        # chunks to bound the dense matrix's footprint.
+        # chunks to bound the kernel's working set.
+        user_ids = corpus.user_ids.tolist()
+        minutes = minute_ids.tolist()
         for chunk_start in range(0, n, MEMBERSHIP_CHUNK):
             chunk = slice(chunk_start, min(chunk_start + MEMBERSHIP_CHUNK, n))
-            membership = membership_points(
+            _labels, indptr, areas = label_members(
                 world, corpus.lats[chunk], corpus.lons[chunk]
             )
+            indptr = indptr.tolist()
+            areas = areas.tolist()
             for offset in range(chunk.stop - chunk_start):
                 row = chunk_start + offset
-                bucket = bucket_for(int(minute_ids[row]))
+                bucket = bucket_for(minutes[row])
                 bucket.population.add(
-                    np.nonzero(membership[offset])[0],
-                    int(corpus.user_ids[row]),
+                    areas[indptr[offset] : indptr[offset + 1]], user_ids[row]
                 )
                 bucket.n_tweets += 1
 

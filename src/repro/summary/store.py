@@ -50,9 +50,9 @@ import numpy as np
 
 from repro import obs
 from repro.core.accumulate import PopulationAccumulator
-from repro.core.label import label_points, membership_points
+from repro.core.label import LabelledBatch, label_batch
 from repro.core.world import World
-from repro.data.schema import Tweet
+from repro.data.schema import Tweet, TweetBatch
 from repro.pipeline.store import ArtifactStore
 from repro.summary.tiers import (
     COARSE_FIRST,
@@ -177,51 +177,30 @@ class SummaryStore:
 
     # -- ingest --------------------------------------------------------
 
-    def ingest(self, tweets: Sequence[Tweet]) -> IngestOutcome:
-        """Label and ingest one batch (sorted internally by timestamp).
+    def ingest(self, tweets: Sequence[Tweet] | LabelledBatch) -> IngestOutcome:
+        """Ingest one batch of tweets into the open minute buckets.
 
-        Tweets behind the watermark are dropped and counted, exactly as
-        at the serve ingest door — the stream contract is monotone time.
+        Takes a time-ascending :class:`~repro.core.label.LabelledBatch`
+        over this store's world — the serve path labels each request
+        once and hands the same block to the monitor — or a ``Tweet``
+        list, which is sorted by timestamp and labelled here.  Tweets
+        behind the watermark (a prefix, since rows ascend) are dropped
+        and counted, exactly as at the serve ingest door — the stream
+        contract is monotone time.
         """
-        ordered = sorted(tweets, key=lambda t: t.timestamp)
-        if not ordered:
-            with self._lock:
-                return IngestOutcome(0, 0, self._version)
-        n = len(ordered)
-        lats = np.fromiter((t.lat for t in ordered), np.float64, count=n)
-        lons = np.fromiter((t.lon for t in ordered), np.float64, count=n)
-        labels = label_points(self.world, lats, lons)
-        membership = membership_points(self.world, lats, lons)
-        return self.ingest_labelled(ordered, labels, membership)
-
-    def ingest_labelled(
-        self,
-        ordered: Sequence[Tweet],
-        labels: np.ndarray,
-        membership: np.ndarray,
-    ) -> IngestOutcome:
-        """Ingest a time-ascending batch whose labels are precomputed.
-
-        ``labels``/``membership`` must come from the kernel layer over
-        the same rows (``label_points`` / ``membership_points``) — the
-        path for callers that already labelled the batch.
-        """
-        with self._lock, obs.span("summary.ingest", tweets=len(ordered)):
-            keep = 0
-            while (
-                keep < len(ordered)
-                and ordered[keep].timestamp < self._watermark
-            ):
-                keep += 1
-            dropped = keep
-            for row in range(keep, len(ordered)):
-                tweet = ordered[row]
-                self._ingest_one(
-                    tweet,
-                    int(labels[row]),
-                    np.nonzero(membership[row])[0],
-                )
-            accepted = len(ordered) - dropped
+        if not isinstance(tweets, LabelledBatch):
+            if not tweets:
+                with self._lock:
+                    return IngestOutcome(0, 0, self._version)
+            batch = TweetBatch.from_tweets(tweets).sorted_by_time()
+            tweets = label_batch(self.world, batch)
+        tweets.require_world(self.world)
+        with self._lock, obs.span("summary.ingest", tweets=len(tweets)):
+            kept = tweets.not_before(self._watermark)
+            dropped = len(tweets) - len(kept)
+            if len(kept):
+                self._ingest_rows(kept)
+            accepted = len(kept)
             self._accepted += accepted
             self._dropped_late += dropped
             self._advance()
@@ -229,23 +208,41 @@ class SummaryStore:
                 self._version += 1
             return IngestOutcome(accepted, dropped, self._version)
 
-    def _ingest_one(
-        self, tweet: Tweet, label: int, area_indices: np.ndarray
-    ) -> None:
-        start = bucket_start(tweet.timestamp, TimeTier.MINUTE)
-        bucket = self._minute_open.get(start)
-        if bucket is None:
-            bucket = SummaryBucket.empty(
-                TimeTier.MINUTE, start, self.world.n_areas
-            )
-            self._minute_open[start] = bucket
-        bucket.population.add(area_indices, tweet.user_id)
-        bucket.n_tweets += 1
-        previous = self._last_label.get(tweet.user_id, -1)
-        self._last_label[tweet.user_id] = label
-        if previous >= 0 and label >= 0 and previous != label:
-            bucket.od_counts[(previous, label)] += 1
-        self._watermark = tweet.timestamp
+    def _ingest_rows(self, block: LabelledBatch) -> None:
+        """Count ascending rows into their open minute buckets."""
+        span = TimeTier.MINUTE.span_seconds
+        timestamps = block.timestamps
+        # floor(ts / span), as :func:`bucket_start` computes it.
+        minutes = np.floor(timestamps / span).astype(np.int64) * span
+        # Rows ascend, so each minute's rows are one contiguous run.
+        edges = np.flatnonzero(np.diff(minutes)) + 1
+        starts = np.concatenate(([0], edges)).tolist()
+        stops = np.concatenate((edges, [len(block)])).tolist()
+        user_ids = block.tweets.user_ids.tolist()
+        labels = block.labels.tolist()
+        indptr = block.member_indptr.tolist()
+        areas = block.member_areas.tolist()
+        last_label = self._last_label
+        for lo, hi in zip(starts, stops):
+            start = int(minutes[lo])
+            bucket = self._minute_open.get(start)
+            if bucket is None:
+                bucket = SummaryBucket.empty(
+                    TimeTier.MINUTE, start, self.world.n_areas
+                )
+                self._minute_open[start] = bucket
+            add = bucket.population.add
+            od_counts = bucket.od_counts
+            for row in range(lo, hi):
+                user_id = user_ids[row]
+                label = labels[row]
+                add(areas[indptr[row] : indptr[row + 1]], user_id)
+                previous = last_label.get(user_id, -1)
+                last_label[user_id] = label
+                if previous >= 0 and label >= 0 and previous != label:
+                    od_counts[(previous, label)] += 1
+            bucket.n_tweets += hi - lo
+        self._watermark = float(timestamps[-1])
 
     # -- finalization and rollup ---------------------------------------
 
@@ -297,17 +294,18 @@ class SummaryStore:
     def _persist(self, bucket: SummaryBucket) -> None:
         if self._artifacts is None:
             return
-        digest = self._artifacts.put(bucket)
-        self._artifacts.record_key(
-            self._tile_key(bucket.tier, bucket.start),
-            digest,
-            meta={
-                "tier": bucket.tier.name.lower(),
-                "start": bucket.start,
-                "n_tweets": bucket.n_tweets,
-                "namespace": self.namespace,
-            },
-        )
+        with obs.span("summary.persist", tier=bucket.tier.name.lower()):
+            digest = self._artifacts.put(bucket)
+            self._artifacts.record_key(
+                self._tile_key(bucket.tier, bucket.start),
+                digest,
+                meta={
+                    "tier": bucket.tier.name.lower(),
+                    "start": bucket.start,
+                    "n_tweets": bucket.n_tweets,
+                    "namespace": self.namespace,
+                },
+            )
 
     def recover(self) -> int:
         """Reload every persisted tile of this namespace; returns count.

@@ -75,6 +75,36 @@ class TestPopulationAccumulator:
         with pytest.raises(ValueError, match="non-negative"):
             PopulationAccumulator(-1)
 
+    def test_memory_follows_content_not_area_count(self):
+        import pickle
+
+        small = pickle.dumps(PopulationAccumulator(10))
+        large = pickle.dumps(PopulationAccumulator(100_000))
+        assert len(large) - len(small) < 16  # only the n_areas int differs
+        acc = PopulationAccumulator(100_000)
+        acc.add([99_999], user_id=3)
+        assert len(acc._users_per_area) == 1
+        acc.remove([99_999], user_id=3)
+        assert acc._users_per_area == {}
+
+    def test_unpickles_the_dense_layout(self):
+        import pickle
+        from collections import Counter
+
+        old = PopulationAccumulator(3)
+        old.__dict__ = {
+            "n_areas": 3,
+            "_tweet_counts": np.array([3, 0, 1], dtype=np.int64),
+            "_users_per_area": [Counter({7: 2, 8: 1}), Counter(), Counter({7: 1})],
+        }
+        acc = pickle.loads(pickle.dumps(old))
+        assert acc.n_areas == 3
+        assert acc.tweet_counts().tolist() == [3, 0, 1]
+        assert acc.user_counts().tolist() == [2, 0, 1]
+        assert sorted(acc._users_per_area) == [0, 2]
+        acc.add([1], user_id=9)
+        assert acc.tweet_counts().tolist() == [3, 1, 1]
+
 
 class TestODAccumulator:
     def test_observe_records_label_changes_only(self):

@@ -9,6 +9,7 @@ from repro.core.label import (
     build_index,
     containing_areas,
     count_population,
+    label_batch,
     label_corpus,
     label_point,
     label_points,
@@ -17,7 +18,7 @@ from repro.core.label import (
 )
 from repro.core.world import World
 from repro.data.gazetteer import Area, Scale, areas_for_scale
-from repro.data.schema import Tweet
+from repro.data.schema import Tweet, TweetBatch
 from repro.geo.coords import Coordinate
 from repro.geo.index import BruteForceIndex, GridIndex
 
@@ -161,3 +162,51 @@ class TestMicroBatchLabeler:
     def test_rejects_non_positive_batch(self):
         with pytest.raises(ValueError, match="batch_size"):
             MicroBatchLabeler(WORLD, batch_size=0)
+
+
+class TestLabelledBatch:
+    def _block(self, n=300):
+        lats, lons = _scatter(n, seed=21)
+        timestamps = np.sort(np.random.default_rng(3).uniform(0.0, 1000.0, n))
+        tweets = [
+            Tweet(user_id=i % 17, timestamp=float(t), lat=float(a), lon=float(o))
+            for i, (t, a, o) in enumerate(zip(timestamps, lats, lons))
+        ]
+        return label_batch(WORLD, TweetBatch.from_tweets(tweets))
+
+    def test_labels_and_members_match_the_kernels(self):
+        block = self._block()
+        tweets = block.tweets
+        assert np.array_equal(block.labels, label_points(WORLD, tweets.lats, tweets.lons))
+        dense = membership_points(WORLD, tweets.lats, tweets.lons)
+        for row in range(len(block)):
+            assert block.members(row).tolist() == np.nonzero(dense[row])[0].tolist()
+
+    def test_row_slices_rebase_the_membership(self):
+        block = self._block()
+        part = block.rows(40, 200)
+        assert len(part) == 160
+        assert part.member_indptr[0] == 0
+        for row in range(len(part)):
+            assert np.array_equal(part.members(row), block.members(40 + row))
+        assert np.array_equal(part.labels, block.labels[40:200])
+
+    def test_not_before_drops_the_late_prefix(self):
+        block = self._block()
+        cut = float(block.timestamps[57])
+        kept = block.not_before(cut)
+        assert len(kept) == len(block) - 57
+        assert kept.timestamps[0] == cut
+        assert block.not_before(float("-inf")) is block
+        assert len(block.not_before(float("inf"))) == 0
+
+    def test_consumers_refuse_another_worlds_labels(self):
+        from repro.stream.online import OnlineMobilityCounter
+        from repro.summary.store import SummaryStore
+
+        block = self._block(20)
+        other = WORLD.with_radius(5.0)
+        with pytest.raises(ValueError, match="different area system"):
+            SummaryStore(other).ingest(block)
+        with pytest.raises(ValueError, match="different area system"):
+            OnlineMobilityCounter(other).push_batch(block)

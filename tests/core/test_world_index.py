@@ -22,15 +22,17 @@ from hypothesis import strategies as st
 
 from repro.core.label import (
     DENSE_AREA_THRESHOLD,
+    label_members,
     label_point,
     label_points,
     label_points_dense,
+    membership_points,
 )
 from repro.core.world import World
 from repro.data.gazetteer import Area, Scale, gazetteer_from_spec
 from repro.geo.bbox import AUSTRALIA_BBOX
 from repro.geo.coords import Coordinate
-from repro.geo.distance import destination_point
+from repro.geo.distance import destination_point, points_to_point_km
 from repro.geo.index import (
     GRID_INDEX_THRESHOLD,
     BruteForceIndex,
@@ -163,6 +165,121 @@ class TestGridDenseEquivalence:
                     world, np.array([center.lat]), np.array([center.lon])
                 )
                 assert scalar == int(batch[0])
+
+
+def _csr_to_dense(indptr: np.ndarray, areas: np.ndarray, n_areas: int) -> np.ndarray:
+    dense = np.zeros((indptr.size - 1, n_areas), dtype=bool)
+    rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    dense[rows, areas] = True
+    return dense
+
+
+def assert_membership_equivalent(world: World, lats: np.ndarray, lons: np.ndarray) -> None:
+    """Sparse membership (grid scan and dispatcher) ≡ dense ``membership_points``."""
+    dense_members = membership_points(world, lats, lons)
+    dense_labels = label_points_dense(world, lats, lons)
+    for labels, indptr, areas in (
+        world.center_grid.label_members(lats, lons),
+        label_members(world, lats, lons),
+    ):
+        assert indptr[0] == 0 and indptr[-1] == areas.size
+        for row in range(lats.size):
+            row_areas = areas[indptr[row] : indptr[row + 1]]
+            assert np.all(np.diff(row_areas) > 0), "areas must ascend per row"
+        assert np.array_equal(
+            _csr_to_dense(indptr, areas, world.n_areas), dense_members
+        ), f"CSR/dense membership disagree at ε={world.radius_km}"
+        assert np.array_equal(labels, dense_labels)
+
+
+class TestMembershipCsrEquivalence:
+    """``label_members``' CSR ε-membership vs the dense reference matrix.
+
+    The grid scan is checked directly at every paper radius (not only
+    where :func:`label_members` dispatches to it), alongside the
+    dispatcher itself.
+    """
+
+    @given(points=points_strategy, scale=st.sampled_from(list(Scale)))
+    @settings(max_examples=60, deadline=None)
+    def test_random_points_every_radius(self, points, scale):
+        world = world_for(scale)
+        assert world.radius_km == RADII[scale]
+        lats = np.array([p[0] for p in points])
+        lons = np.array([p[1] for p in points])
+        assert_membership_equivalent(world, lats, lons)
+
+    @given(
+        area=st.integers(min_value=0, max_value=299),
+        bearing=st.floats(min_value=0.0, max_value=360.0),
+        fraction=st.sampled_from([0.0, 0.5, 0.999999, 1.0, 1.000001, 1.5]),
+        scale=st.sampled_from(list(Scale)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_points_near_the_epsilon_boundary(self, area, bearing, fraction, scale):
+        world = world_for(scale)
+        center = world.areas[area % world.n_areas].center
+        point = destination_point(center, bearing, world.radius_km * fraction)
+        assert_membership_equivalent(world, np.array([point.lat]), np.array([point.lon]))
+
+    @given(
+        area=st.integers(min_value=0, max_value=299),
+        bearing=st.floats(min_value=0.0, max_value=360.0),
+        scale=st.sampled_from(list(Scale)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_points_exactly_at_epsilon_are_members(self, area, bearing, scale):
+        """ε set to a point's exact kernel distance: the disc includes it."""
+        base = world_for(scale)
+        index = area % base.n_areas
+        center = base.areas[index].center
+        point = destination_point(center, bearing, base.radius_km * 0.9)
+        lats, lons = np.array([point.lat]), np.array([point.lon])
+        exact = float(points_to_point_km(lats, lons, (center.lat, center.lon))[0])
+        if exact <= 0.0:
+            return
+        world = base.with_radius(exact)
+        _labels, indptr, areas = world.center_grid.label_members(lats, lons)
+        assert index in areas.tolist()
+        assert_membership_equivalent(world, lats, lons)
+
+    @given(
+        row=st.integers(min_value=0, max_value=10_000),
+        col=st.integers(min_value=0, max_value=10_000),
+        scale=st.sampled_from(list(Scale)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_points_on_grid_cell_edges(self, row, col, scale):
+        world = world_for(scale)
+        spec = world.center_grid.spec
+        lat = spec.bbox.min_lat + (row % (spec.n_rows + 1)) * spec.cell_height_deg
+        lon = spec.bbox.min_lon + (col % (spec.n_cols + 1)) * spec.cell_width_deg
+        assert_membership_equivalent(world, np.array([lat]), np.array([lon]))
+
+    def test_centres_and_dense_clouds(self):
+        rng = np.random.default_rng(14)
+        for scale in Scale:
+            world = world_for(scale)
+            assert_membership_equivalent(world, world.centers_lat, world.centers_lon)
+            # Jitter around the centres so many points sit in overlaps.
+            picks = rng.integers(0, world.n_areas, 400)
+            jitter = world.radius_km / 111.0
+            lats = world.centers_lat[picks] + rng.uniform(-jitter, jitter, 400)
+            lons = world.centers_lon[picks] + rng.uniform(-jitter, jitter, 400)
+            assert_membership_equivalent(world, lats, lons)
+
+    def test_legacy_world_takes_the_dense_path(self):
+        world = world_for(Scale.NATIONAL, gazetteer=None)
+        assert world.n_areas <= DENSE_AREA_THRESHOLD
+        rng = np.random.default_rng(15)
+        lats = rng.uniform(-45.0, -10.0, 500)
+        lons = rng.uniform(112.0, 155.0, 500)
+        assert_membership_equivalent(world, lats, lons)
+
+    def test_empty_input(self):
+        world = world_for(Scale.METROPOLITAN)
+        labels, indptr, areas = label_members(world, np.empty(0), np.empty(0))
+        assert labels.size == 0 and indptr.tolist() == [0] and areas.size == 0
 
 
 class TestPinnedCases:

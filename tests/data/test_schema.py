@@ -1,12 +1,18 @@
 """Tests for repro.data.schema."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data.schema import (
     CorpusStats,
+    RecordError,
     SchemaError,
     Tweet,
+    TweetBatch,
     UserSummary,
+    parse_tweet_batch,
     parse_tweet_record,
 )
 from repro.geo.coords import Coordinate
@@ -97,6 +103,71 @@ class TestParseTweetRecord:
         )
         with pytest.raises(SchemaError, match="missing field 'lat'"):
             IngestService.parse_tweet({"user_id": 1, "timestamp": 0.0, "lon": 0.0})
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+_record = st.fixed_dictionaries(
+    {
+        "user_id": st.integers(min_value=0, max_value=2**40),
+        "timestamp": _finite,
+        "lat": st.floats(min_value=-90.0, max_value=90.0),
+        "lon": st.floats(min_value=-1e6, max_value=1e6),
+    },
+    optional={"tweet_id": st.integers(min_value=-1, max_value=2**40)},
+)
+
+
+class TestParseTweetBatch:
+    RECORD = {"user_id": 7, "timestamp": 100.5, "lat": -33.9, "lon": 151.2}
+
+    @given(records=st.lists(_record, min_size=1, max_size=20))
+    @settings(max_examples=80, deadline=None)
+    def test_columns_equal_per_record_parse(self, records):
+        """Same values bit for bit, longitude normalisation included."""
+        batch = parse_tweet_batch(records)
+        expected = TweetBatch.from_tweets([parse_tweet_record(r) for r in records])
+        for name in ("user_ids", "timestamps", "lats", "lons", "tweet_ids"):
+            got, want = getattr(batch, name), getattr(expected, name)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), name
+
+    def test_string_fields_convert_like_the_record_parser(self):
+        record = {"user_id": "7", "timestamp": "100.5", "lat": "-33.9", "lon": "190"}
+        batch = parse_tweet_batch([record])
+        assert batch.user_ids.tolist() == [7]
+        assert batch.lons.tolist() == [parse_tweet_record(record).lon]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"user_id": 1, "timestamp": 0.0, "lon": 0.0},
+            {"user_id": -1, "timestamp": 0.0, "lat": 0.0, "lon": 0.0},
+            {"user_id": 1, "timestamp": float("nan"), "lat": 0.0, "lon": 0.0},
+            {"user_id": 1, "timestamp": 0.0, "lat": 95.0, "lon": 0.0},
+            {"user_id": 1, "timestamp": 0.0, "lat": 0.0, "lon": float("inf")},
+            {"user_id": "x", "timestamp": 0.0, "lat": 0.0, "lon": 0.0},
+            {"user_id": 2**70, "timestamp": 0.0, "lat": 0.0, "lon": 0.0},
+            [1, 2, 3],
+        ],
+    )
+    def test_first_bad_record_reported_with_its_position(self, bad):
+        records = [self.RECORD, self.RECORD, bad, {"lat": "also bad"}]
+        with pytest.raises(RecordError) as info:
+            parse_tweet_batch(records)
+        assert info.value.position == 2
+        if not isinstance(bad, dict) or bad.get("user_id") != 2**70:
+            with pytest.raises(SchemaError) as direct:
+                parse_tweet_record(bad)
+            assert str(info.value.error) == str(direct.value)
+
+    def test_sorted_by_time_is_stable(self):
+        records = [
+            {**self.RECORD, "user_id": uid, "timestamp": ts}
+            for uid, ts in [(1, 5.0), (2, 1.0), (3, 5.0), (4, 1.0)]
+        ]
+        ordered = parse_tweet_batch(records).sorted_by_time()
+        assert ordered.user_ids.tolist() == [2, 4, 1, 3]
+        assert np.all(np.diff(ordered.timestamps) >= 0)
 
 
 class TestUserSummary:

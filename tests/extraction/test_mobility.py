@@ -5,7 +5,7 @@ import pytest
 
 from repro.data.corpus import TweetCorpus
 from repro.data.gazetteer import Area, Scale
-from repro.extraction.mobility import ODFlows, extract_od_flows, symmetrize
+from repro.extraction.mobility import ODFlows, extract_od_flows, sparse_od_pairs, symmetrize
 from repro.geo.coords import Coordinate
 
 
@@ -130,3 +130,18 @@ class TestODFlows:
         sym = symmetrize(ODFlows(areas=areas, matrix=matrix))
         assert sym.matrix[0, 1] == 4
         assert sym.matrix[1, 0] == 4
+
+
+def test_sparse_pairs_equal_dense_pairs_bitwise():
+    from repro.core.world import World
+
+    world = World.from_areas(_areas(9), radius_km=50.0)
+    rng = np.random.default_rng(4)
+    matrix = rng.integers(0, 4, size=(9, 9)) * (rng.random((9, 9)) < 0.4)
+    np.fill_diagonal(matrix, 0)
+    source, dest = np.nonzero(matrix)
+    sparse = sparse_od_pairs(world, source, dest, matrix[source, dest])
+    dense = ODFlows(areas=world.areas, matrix=matrix).pairs()
+    for name in ("source", "dest", "m", "n", "d_km", "flow"):
+        got, want = getattr(sparse, name), getattr(dense, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name

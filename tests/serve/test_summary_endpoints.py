@@ -191,3 +191,29 @@ class TestObservability:
         assert health["summary"]["watermark"] == 100.0
         _, metrics, _ = summary_app.handle("GET", "/metrics", {}, None)
         assert metrics["summary"]["accepted"] == 1
+
+
+class TestOneWorld:
+    def test_create_app_shares_one_world(self, tmp_path):
+        from repro.serve import create_app
+
+        app = create_app(ArtifactStore(tmp_path), preload=False, gazetteer="synth:200@3",
+                         monitor_scale=Scale.METROPOLITAN)
+        assert app.summary.world is app.ingest.world
+        assert app.ingest.world.n_areas > 128
+
+    def test_mismatched_worlds_rejected(self, registry):
+        ingest = IngestService(WORLD, radius_km=WORLD.radius_km)
+        other = SummaryStore(WORLD.with_radius(10.0))
+        with pytest.raises(ValueError, match="one area system"):
+            EstimationApp(registry, ingest, summary=other)
+
+    def test_late_rows_dropped_by_each_consumer(self, summary_app):
+        first = [_tweet(1, 100.0 + i) for i in range(3)]
+        summary_app.handle("POST", "/v1/ingest", {}, {"tweets": first})
+        mixed = [_tweet(2, 50.0), _tweet(2, 102.0), _tweet(2, 200.0)]
+        status, payload, _ = summary_app.handle("POST", "/v1/ingest", {}, {"tweets": mixed})
+        assert status == 200
+        assert payload["accepted"] == 2 and payload["dropped_stale"] == 1
+        assert payload["summary"]["accepted"] == 2
+        assert payload["summary"]["dropped_late"] == 1

@@ -154,6 +154,60 @@ class TestPersistence:
         assert np.array_equal(after.user_counts, before.user_counts)
         assert np.array_equal(after.flow_matrix, before.flow_matrix)
 
+    def test_recovers_tiles_in_the_dense_accumulator_layout(self, tmp_path):
+        """Tile stores written before the sparse layout still load and query.
+
+        Older tiles pickled a ``PopulationAccumulator`` holding one
+        ``Counter`` per area plus a ``_tweet_counts`` array; the tiles
+        below are hand-built in exactly that layout.
+        """
+        from collections import Counter
+
+        from repro.core.accumulate import PopulationAccumulator
+
+        def dense_layout_tile(start: int, members: dict[int, dict[int, int]]) -> SummaryBucket:
+            population = PopulationAccumulator(WORLD.n_areas)
+            users = [Counter(members.get(a, {})) for a in range(WORLD.n_areas)]
+            population.__dict__ = {
+                "n_areas": WORLD.n_areas,
+                "_tweet_counts": np.array([sum(c.values()) for c in users], dtype=np.int64),
+                "_users_per_area": users,
+            }
+            tile = SummaryBucket(tier=TimeTier.MINUTE, start=start, population=population)
+            tile.n_tweets = sum(sum(c.values()) for c in users)
+            tile.od_counts[(0, 2)] += 1
+            return tile
+
+        artifacts = ArtifactStore(tmp_path)
+        tiles = [
+            dense_layout_tile(0, {0: {7: 2, 8: 1}, 2: {7: 1}}),
+            dense_layout_tile(3540, {0: {8: 1}, 4: {9: 3}}),
+        ]
+        for tile in tiles:
+            digest = artifacts.put(tile)
+            artifacts.record_key(
+                f"summary/test/minute/{tile.start}",
+                digest,
+                meta={"tier": "minute", "start": tile.start, "n_tweets": tile.n_tweets},
+            )
+
+        store = fresh_store(artifacts)
+        assert store.recover() == 2
+        # The watermark reached the hour's end, so recovery rolled the
+        # two old-layout minutes into a (new-layout) hour tile.
+        assert store.stats()["tiles"] == {"minute": 2, "hour": 1, "day": 0}
+        whole = store.query(0, 3600)
+        assert whole.tiles_used == {"hour": 1}
+        assert whole.tweet_counts.tolist() == [4, 0, 1, 0, 3]
+        assert whole.user_counts.tolist() == [2, 0, 1, 0, 1]
+        assert whole.n_transitions == 2 and whole.flow_matrix[0, 2] == 2
+        first = store.query(0, 60)
+        assert first.tweet_counts.tolist() == [3, 0, 1, 0, 0]
+        assert first.user_counts.tolist() == [2, 0, 1, 0, 0]
+        # Live ingest continues on top of the recovered tiles.
+        store.ingest([tweet(7, 3600.0, 0), tweet(7, 3700.0, 1)])
+        assert store.query(0, 3660).tweet_counts.tolist() == [5, 0, 1, 0, 3]
+
     def test_recover_on_empty_store_is_noop(self, tmp_path):
         store = fresh_store(ArtifactStore(tmp_path))
         assert store.recover() == 0

@@ -187,7 +187,7 @@ class TestPushBatchEquivalence:
         assert np.array_equal(
             scalar.counter.flow_matrix(), batched.counter.flow_matrix()
         )
-        assert np.array_equal(scalar._baseline, batched._baseline)
+        assert np.array_equal(scalar.baseline_matrix(), batched.baseline_matrix())
         assert scalar.gamma_history() == batched.gamma_history()
 
 
