@@ -1,10 +1,13 @@
 """P2 — static-analysis benchmark: full-repo ``repro check`` timings.
 
-Times the ratchet gate end to end over the real repository — parse,
-each registered rule in isolation (the interprocedural concurrency and
-fork-safety rules rebuild the call graph per run, which is the cost
-worth watching), and the full :func:`repro.check.runner.run_check`
-pipeline::
+Times the ratchet gate over the real repository — parse, each
+registered rule in isolation on a fresh parse (so each row includes the
+per-file facts it computes, and the interprocedural concurrency and
+fork-safety rows each build their own call graph + lock model), the
+shared graph + model build that one full run pays once, the full
+in-process :func:`repro.check.runner.run_check` pipeline, and
+``python -m repro check`` as a subprocess, interpreter start and
+imports included — what a user or the CI gate pays::
 
     python benchmarks/bench_check.py --out BENCH_check.json
 
@@ -22,10 +25,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
 
+from repro.check.lockmodel import LockAnalysis
 from repro.check.rules import RULE_FACTORIES
 from repro.check.runner import run_check
 from repro.check.walker import iter_source_files
@@ -52,38 +58,61 @@ def calibrate() -> float:
     return time.perf_counter() - start
 
 
-def _time(fn) -> float:
-    """Minimum wall time over :data:`REPEATS` runs."""
+def _time(fn, prepare=lambda: None) -> float:
+    """Minimum wall time of ``fn(prepare())`` over :data:`REPEATS` runs.
+
+    ``prepare`` runs outside the timer (e.g. a fresh parse, so cached
+    per-file facts never leak from one timed run into the next).
+    """
     best = float("inf")
     for _ in range(REPEATS):
+        arg = prepare()
         start = time.perf_counter()
-        fn()
+        fn(arg)
         best = min(best, time.perf_counter() - start)
     return best
 
 
+def _row(seconds: float, calibration_seconds: float) -> dict:
+    return {
+        "seconds": round(seconds, 4),
+        "normalized": round(seconds / calibration_seconds, 3),
+    }
+
+
+def _cli_check(root: Path) -> None:
+    """``python -m repro check`` in a fresh interpreter, from ``root/src``."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "check", "--root", str(root)],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+
+
 def run_benchmark(root: Path) -> dict:
-    """Calibrate, then time parse, every rule, and the full pipeline."""
+    """Calibrate, then time parse, every rule, the shared lock analysis,
+    the full pipeline in process, and the CLI as a subprocess."""
     calibration_seconds = calibrate()
     package_root = root / "src" / "repro"
 
-    sources = list(iter_source_files(package_root))
-    parse_seconds = _time(lambda: list(iter_source_files(package_root)))
+    def parse() -> list:
+        return list(iter_source_files(package_root))
+
+    sources = parse()
+    parse_seconds = _time(lambda _: parse())
 
     rules = []
     for name in sorted(RULE_FACTORIES):
         factory = RULE_FACTORIES[name]
-        seconds = _time(lambda: factory().run(sources))
-        rules.append(
-            {
-                "rule": name,
-                "seconds": round(seconds, 4),
-                "normalized": round(seconds / calibration_seconds, 3),
-            }
-        )
+        seconds = _time(lambda fresh: factory().run(fresh), parse)
+        rules.append({"rule": name, **_row(seconds, calibration_seconds)})
+
+    analysis_seconds = _time(lambda fresh: LockAnalysis(fresh).model, parse)
 
     result = run_check(root=root)
-    full_seconds = _time(lambda: run_check(root=root))
+    full_seconds = _time(lambda _: run_check(root=root))
+    cli_seconds = _time(lambda _: _cli_check(root))
 
     return {
         "machine": {"calibration_seconds": round(calibration_seconds, 4)},
@@ -92,15 +121,11 @@ def run_benchmark(root: Path) -> dict:
             "check_ok": result.ok,
             "new_violations": len(result.new),
         },
-        "parse": {
-            "seconds": round(parse_seconds, 4),
-            "normalized": round(parse_seconds / calibration_seconds, 3),
-        },
+        "parse": _row(parse_seconds, calibration_seconds),
         "rules": rules,
-        "full_check": {
-            "seconds": round(full_seconds, 4),
-            "normalized": round(full_seconds / calibration_seconds, 3),
-        },
+        "lock_analysis": _row(analysis_seconds, calibration_seconds),
+        "full_check": _row(full_seconds, calibration_seconds),
+        "cli_check": _row(cli_seconds, calibration_seconds),
     }
 
 

@@ -25,13 +25,37 @@ Subpackages
 ``repro.experiments`` one module per paper table/figure
 ``repro.epidemic``    metapopulation SEIR on fitted mobility networks
 ``repro.viz``         terminal figure rendering
+
+
+The top-level names below resolve on first access, so ``import repro``
+(and with it ``repro --version``, ``--help`` and ``repro check``) loads
+only the standard library; numpy and scipy arrive with the first
+subpackage that needs them.
 """
+
+import importlib
 
 __version__ = "1.0.0"
 
-from repro.data.corpus import TweetCorpus
-from repro.data.gazetteer import Scale
-from repro.synth.config import SynthConfig
-from repro.synth.generator import generate_corpus
+#: Public name -> defining module, imported on first attribute access.
+_LAZY = {
+    "Scale": "repro.data.gazetteer",
+    "SynthConfig": "repro.synth.config",
+    "TweetCorpus": "repro.data.corpus",
+    "generate_corpus": "repro.synth.generator",
+}
 
 __all__ = ["Scale", "SynthConfig", "TweetCorpus", "__version__", "generate_corpus"]
+
+
+def __getattr__(name: str) -> object:
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))

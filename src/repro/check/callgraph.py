@@ -31,7 +31,7 @@ import ast
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from repro.check.rules import dotted_path, resolve_imports
+from repro.check.rules import dotted_path
 from repro.check.walker import SourceFile
 
 #: Maximum re-export hops chased while resolving a dotted call target.
@@ -71,13 +71,11 @@ class CallGraph:
     ) -> None:
         self.functions = dict(functions)
         self.classes = dict(classes)  # class qualname -> method names
-        self._imports_by_module = {m: dict(v) for m, v in imports_by_module.items()}
+        self._imports_by_module = imports_by_module
         self.sites = sites
         self._out: dict[str, list[CallSite]] = {}
-        self._in: dict[str, list[CallSite]] = {}
         for site in sites:
             self._out.setdefault(site.caller, []).append(site)
-            self._in.setdefault(site.callee, []).append(site)
 
     # -- construction --------------------------------------------------
 
@@ -87,9 +85,9 @@ class CallGraph:
         materialised = list(sources)
         functions: dict[str, FunctionInfo] = {}
         classes: dict[str, tuple[str, ...]] = {}
-        imports_by_module: dict[str, dict[str, str]] = {}
+        imports_by_module: dict[str, Mapping[str, str]] = {}
         for source in materialised:
-            imports_by_module[source.module] = resolve_imports(source.tree)
+            imports_by_module[source.module] = source.imports
             for qualname, info in _definitions(source):
                 functions[qualname] = info
             for node in source.tree.body:
@@ -100,33 +98,19 @@ class CallGraph:
                         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
                     )
                     classes[f"{source.module}.{node.name}"] = methods
-        graph = cls(functions, classes, imports_by_module, ())
+        resolver = cls(functions, classes, imports_by_module, ())
         sites: list[CallSite] = []
         for info in functions.values():
-            imports = imports_by_module[info.module]
             for call in _calls_in(info.node):
-                callee = graph.resolve_call(call, info, imports)
+                callee = resolver.resolve_call(call, info)
                 if callee is not None:
                     sites.append(CallSite(info.qualname, callee, call))
-        graph.sites = tuple(sites)
-        graph._out = {}
-        graph._in = {}
-        for site in graph.sites:
-            graph._out.setdefault(site.caller, []).append(site)
-            graph._in.setdefault(site.callee, []).append(site)
-        return graph
+        return cls(functions, classes, imports_by_module, tuple(sites))
 
     # -- resolution ----------------------------------------------------
 
-    def resolve_call(
-        self,
-        call: ast.Call,
-        context: FunctionInfo,
-        imports: Mapping[str, str] | None = None,
-    ) -> str | None:
+    def resolve_call(self, call: ast.Call, context: FunctionInfo) -> str | None:
         """The qualname a call resolves to in ``context``, or ``None``."""
-        if imports is None:
-            imports = self._imports_by_module.get(context.module, {})
         func = call.func
         if (
             isinstance(func, ast.Attribute)
@@ -136,7 +120,7 @@ class CallGraph:
         ):
             candidate = f"{context.module}.{context.cls}.{func.attr}"
             return candidate if candidate in self.functions else None
-        dotted = dotted_path(func, imports)
+        dotted = dotted_path(func, context.source.imports)
         if dotted is None:
             return None
         if "." not in dotted:
@@ -167,14 +151,6 @@ class CallGraph:
         return None
 
     # -- queries -------------------------------------------------------
-
-    def callees(self, qualname: str) -> tuple[CallSite, ...]:
-        """Outgoing call sites of one function."""
-        return tuple(self._out.get(qualname, ()))
-
-    def callers(self, qualname: str) -> tuple[CallSite, ...]:
-        """Incoming call sites of one function."""
-        return tuple(self._in.get(qualname, ()))
 
     def reachable_from(
         self, seeds: Iterable[str], skip: frozenset[str] = frozenset()

@@ -34,9 +34,9 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from repro.check.callgraph import CallGraph
 from repro.check.lockmodel import (
     LOCK_CONSTRUCTORS,  # noqa: F401  (re-exported; the historical home)
+    LockAnalysis,
     LockModel,
     UnguardedWrite,
     _short,
@@ -58,10 +58,11 @@ class ConcurrencyRule(Rule):
         super().__init__()
         self._by_path: dict[str, list[tuple[ast.AST, str, str]]] = {}
 
-    def run(self, sources: Iterable[SourceFile]) -> list[Violation]:
+    def run(
+        self, sources: Iterable[SourceFile], analysis: LockAnalysis | None = None
+    ) -> list[Violation]:
         materialised = list(sources)
-        graph = CallGraph.build(materialised)
-        model = LockModel.build(materialised, graph)
+        model = (analysis or LockAnalysis(materialised)).model
         self._by_path = {}
         self._collect_unguarded(model)
         self._collect_cycles(model)

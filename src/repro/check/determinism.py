@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.check.rules import Rule, dotted_path, register, resolve_imports
+from repro.check.rules import Rule, dotted_path, register
 from repro.check.walker import SourceFile
 
 #: Calls whose return value is the wall clock.
@@ -80,9 +80,9 @@ class DeterminismRule(Rule):
     name = "determinism"
 
     def check(self, source: SourceFile) -> None:
-        imports = resolve_imports(source.tree)
+        imports = source.imports
         kernel = source.package in KERNEL_PACKAGES
-        for node in ast.walk(source.tree):
+        for node in source.nodes:
             if isinstance(node, ast.Call):
                 self._check_call(source, node, imports, kernel)
             elif isinstance(node, ast.Attribute) and kernel:

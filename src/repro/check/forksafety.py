@@ -39,11 +39,10 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from repro.check.callgraph import CallGraph
 from repro.check.determinism import SEEDABLE_CONSTRUCTORS, WALL_CLOCK_CALLS
-from repro.check.lockmodel import LockModel, _short
-from repro.check.rules import Rule, Violation, dotted_path, register, resolve_imports
-from repro.check.walker import SourceFile, type_checking_spans
+from repro.check.lockmodel import LockAnalysis, LockModel, _short
+from repro.check.rules import Rule, Violation, dotted_path, register
+from repro.check.walker import SourceFile
 
 #: The package whose import closure is the pre-fork path.
 PREFORK_ROOT = "repro.cluster"
@@ -78,12 +77,9 @@ def _is_worker_init(name: str) -> bool:
 
 def _repro_import_targets(source: SourceFile) -> set[str]:
     """Dotted ``repro.*`` module names this file imports at runtime."""
-    type_only = type_checking_spans(source.tree)
     targets: set[str] = set()
-    for node in ast.walk(source.tree):
-        if not isinstance(node, (ast.Import, ast.ImportFrom)):
-            continue
-        if any(start <= node.lineno <= end for start, end in type_only):
+    for node in source.import_nodes:
+        if source.type_only(node.lineno):
             continue
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -173,14 +169,18 @@ class ForkSafetyRule(Rule):
         self._reachable: set[str] = set()
         self._shared_locks: dict[str, list[tuple[ast.AST, str]]] = {}
 
-    def run(self, sources: Iterable[SourceFile]) -> list[Violation]:
+    def run(
+        self, sources: Iterable[SourceFile], analysis: LockAnalysis | None = None
+    ) -> list[Violation]:
         materialised = list(sources)
         self._reachable = reachable_modules(materialised)
-        self._shared_locks = _fork_shared_locks(materialised)
+        self._shared_locks = _fork_shared_locks(
+            (analysis or LockAnalysis(materialised)).model
+        )
         return super().run(materialised)
 
     def check(self, source: SourceFile) -> None:
-        imports = resolve_imports(source.tree)
+        imports = source.imports
         if source.module in self._reachable:
             self._check_import_time(source, imports)
         if source.package == "cluster":
@@ -204,7 +204,7 @@ class ForkSafetyRule(Rule):
                 )
 
     def _check_worker_init(self, source: SourceFile, imports: dict[str, str]) -> None:
-        for node in ast.walk(source.tree):
+        for node in source.nodes:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             if not _is_worker_init(node.name):
@@ -239,9 +239,7 @@ class ForkSafetyRule(Rule):
                     )
 
 
-def _fork_shared_locks(
-    sources: list[SourceFile],
-) -> dict[str, list[tuple[ast.AST, str]]]:
+def _fork_shared_locks(model: LockModel) -> dict[str, list[tuple[ast.AST, str]]]:
     """fork-shared-lock findings, grouped by the declaring file's path.
 
     A lock is cross-process-hazardous when at least one of its
@@ -250,8 +248,7 @@ def _fork_shared_locks(
     the supervisor's call into :data:`WORKER_ENTRY` severed, because
     that edge is exactly where ``fork()`` splits the address space.
     """
-    graph = CallGraph.build(sources)
-    model = LockModel.build(sources, graph)
+    graph = model.graph
     supervisor_seeds = [
         name
         for name, info in graph.functions.items()

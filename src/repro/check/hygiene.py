@@ -38,7 +38,7 @@ class HygieneRule(Rule):
 
     def check(self, source: SourceFile) -> None:
         print_exempt = source.module in PRINT_EXEMPT_MODULES
-        for node in ast.walk(source.tree):
+        for node in source.nodes:
             if isinstance(node, ast.Call):
                 if (
                     not print_exempt

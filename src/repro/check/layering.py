@@ -41,7 +41,7 @@ from __future__ import annotations
 import ast
 
 from repro.check.rules import Rule, register
-from repro.check.walker import SourceFile, type_checking_spans
+from repro.check.walker import SourceFile
 
 #: Allowed ``repro.*`` dependencies per top-level subpackage.  ``<root>``
 #: covers repro/__init__.py, cli.py and __main__.py, which may import
@@ -116,12 +116,9 @@ class LayeringRule(Rule):
         if package == "<root>":
             return  # entry points may import anything
         allowed = LAYER_DAG.get(package)
-        type_only = type_checking_spans(source.tree)
-        for node in ast.walk(source.tree):
+        for node in source.import_nodes:
             targets = _import_targets(node, source)
-            if not targets:
-                continue
-            if any(start <= node.lineno <= end for start, end in type_only):
+            if not targets or source.type_only(node.lineno):
                 continue
             for target in targets:
                 if allowed is None:

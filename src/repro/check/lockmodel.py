@@ -41,10 +41,11 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from functools import cached_property
+from typing import Iterable
 
 from repro.check.callgraph import CallGraph, FunctionInfo
-from repro.check.rules import dotted_path, resolve_imports
+from repro.check.rules import dotted_path
 from repro.check.walker import SourceFile
 
 #: threading constructors whose product guards shared state.
@@ -149,7 +150,7 @@ def _lock_decls(sources: Iterable[SourceFile]) -> dict[str, LockDecl]:
         return []
 
     for source in sources:
-        imports = resolve_imports(source.tree)
+        imports = source.imports
         for top in source.tree.body:
             if isinstance(top, (ast.Assign, ast.AnnAssign)):
                 if not _value_is_lock(top, imports):
@@ -211,85 +212,10 @@ class LockModel:
             graph = CallGraph.build(materialised)
         model = cls(graph, _lock_decls(materialised))
         for info in graph.functions.values():
-            model._summarise(info)
+            _FunctionWalk(model, info).run()
         model._propagate_may_held()
         model._build_order_edges()
         return model
-
-    # -- per-function lexical walk --------------------------------------
-
-    def _summarise(self, info: FunctionInfo) -> None:
-        imports = resolve_imports(info.source.tree)
-        class_locks = (
-            self.by_class.get(f"{info.module}.{info.cls}", frozenset())
-            if info.cls is not None
-            else frozenset()
-        )
-        collect_writes = bool(class_locks) and info.name != "__init__"
-        lock_attr_names = {self.decls[ident].attr for ident in class_locks}
-
-        def lock_ident(expr: ast.expr) -> str | None:
-            attr = _is_self_attr(expr)
-            if attr is not None:
-                candidate = f"{info.module}.{info.cls}.{attr}"
-                return candidate if candidate in self.decls else None
-            dotted = dotted_path(expr, imports)
-            if dotted is None:
-                return None
-            if "." not in dotted:
-                dotted = f"{info.module}.{dotted}"
-            return dotted if dotted in self.decls else None
-
-        def scan_calls(expr: ast.expr, held: frozenset[str]) -> None:
-            if isinstance(expr, ast.Lambda):
-                return  # runs later, under the eventual caller's locks
-            if isinstance(expr, ast.Call):
-                callee = self.graph.resolve_call(expr, info, imports)
-                if callee is not None:
-                    self.calls.append(LockCall(info.qualname, callee, expr, held))
-            for child in ast.iter_child_nodes(expr):
-                if isinstance(child, ast.expr):
-                    scan_calls(child, held)
-
-        def visit(stmt: ast.stmt, held: frozenset[str], nested: bool) -> None:
-            if isinstance(stmt, (ast.With, ast.AsyncWith)):
-                inner = held
-                for item in stmt.items:
-                    scan_calls(item.context_expr, inner)
-                    ident = lock_ident(item.context_expr)
-                    if ident is not None:
-                        self.acquisitions.append(
-                            Acquisition(ident, info.qualname, item.context_expr, inner)
-                        )
-                        inner = inner | {ident}
-                for child in stmt.body:
-                    visit(child, inner, nested)
-                return
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                # A nested def runs later: locks held here are not held there.
-                for child in stmt.body:
-                    visit(child, frozenset(), True)
-                return
-            if isinstance(stmt, ast.ClassDef):
-                return
-            if collect_writes and not nested:
-                for attr in _self_writes(stmt, lock_attr_names):
-                    self.writes.setdefault(info.qualname, []).append(
-                        WriteSite(info.qualname, attr, stmt, held)
-                    )
-            descend(stmt, held, nested)
-
-        def descend(node: ast.AST, held: frozenset[str], nested: bool) -> None:
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, ast.stmt):
-                    visit(child, held, nested)
-                elif isinstance(child, ast.expr):
-                    scan_calls(child, held)
-                else:  # ExceptHandler, match cases, ...
-                    descend(child, held, nested)
-
-        for stmt in info.node.body:
-            visit(stmt, frozenset(), False)
 
     # -- may-held propagation and the lock-order graph ------------------
 
@@ -460,6 +386,110 @@ class LockModel:
                 parents[call.callee] = current
                 frontier.append(call.callee)
         return reach, parents
+
+
+class _FunctionWalk:
+    """One definition's lexical walk: every acquisition, ``self.`` write
+    and resolved call, with the locks held there, recorded into the model.
+
+    A class, not nested closures: mutually recursive closures form a
+    reference cycle that keeps the model and every parsed tree alive
+    until the cyclic collector runs.
+    """
+
+    def __init__(self, model: LockModel, info: FunctionInfo) -> None:
+        self.model = model
+        self.info = info
+        class_locks = (
+            model.by_class.get(f"{info.module}.{info.cls}", frozenset())
+            if info.cls is not None
+            else frozenset()
+        )
+        self.collect_writes = bool(class_locks) and info.name != "__init__"
+        self.lock_attr_names = {model.decls[ident].attr for ident in class_locks}
+
+    def run(self) -> None:
+        for stmt in self.info.node.body:
+            self.visit(stmt, frozenset(), False)
+
+    def lock_ident(self, expr: ast.expr) -> str | None:
+        info, decls = self.info, self.model.decls
+        attr = _is_self_attr(expr)
+        if attr is not None:
+            candidate = f"{info.module}.{info.cls}.{attr}"
+            return candidate if candidate in decls else None
+        dotted = dotted_path(expr, info.source.imports)
+        if dotted is None:
+            return None
+        if "." not in dotted:
+            dotted = f"{info.module}.{dotted}"
+        return dotted if dotted in decls else None
+
+    def scan_calls(self, expr: ast.expr, held: frozenset[str]) -> None:
+        if isinstance(expr, ast.Lambda):
+            return  # runs later, under the eventual caller's locks
+        if isinstance(expr, ast.Call):
+            callee = self.model.graph.resolve_call(expr, self.info)
+            if callee is not None:
+                self.model.calls.append(LockCall(self.info.qualname, callee, expr, held))
+        for child in ast.iter_child_nodes(expr):
+            if isinstance(child, ast.expr):
+                self.scan_calls(child, held)
+
+    def visit(self, stmt: ast.stmt, held: frozenset[str], nested: bool) -> None:
+        model, qualname = self.model, self.info.qualname
+        if isinstance(stmt, (ast.With, ast.AsyncWith)):
+            inner = held
+            for item in stmt.items:
+                self.scan_calls(item.context_expr, inner)
+                ident = self.lock_ident(item.context_expr)
+                if ident is not None:
+                    model.acquisitions.append(
+                        Acquisition(ident, qualname, item.context_expr, inner)
+                    )
+                    inner = inner | {ident}
+            for child in stmt.body:
+                self.visit(child, inner, nested)
+            return
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            # A nested def runs later: locks held here are not held there.
+            for child in stmt.body:
+                self.visit(child, frozenset(), True)
+            return
+        if isinstance(stmt, ast.ClassDef):
+            return
+        if self.collect_writes and not nested:
+            for attr in _self_writes(stmt, self.lock_attr_names):
+                model.writes.setdefault(qualname, []).append(
+                    WriteSite(qualname, attr, stmt, held)
+                )
+        self.descend(stmt, held, nested)
+
+    def descend(self, node: ast.AST, held: frozenset[str], nested: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.stmt):
+                self.visit(child, held, nested)
+            elif isinstance(child, ast.expr):
+                self.scan_calls(child, held)
+            else:  # ExceptHandler, match cases, ...
+                self.descend(child, held, nested)
+
+
+class LockAnalysis:
+    """The call graph + lock model of one source set, built on first use.
+
+    :func:`repro.check.runner.run_check` makes one per run and hands it
+    to every rule, so however many families read the model it is built
+    at most once — and not at all when no selected family needs it.
+    """
+
+    def __init__(self, sources: Iterable[SourceFile]) -> None:
+        self.sources = list(sources)
+
+    @cached_property
+    def model(self) -> LockModel:
+        """The lock model; its call graph is ``model.graph``."""
+        return LockModel.build(self.sources, CallGraph.build(self.sources))
 
 
 def _self_writes(stmt: ast.stmt, lock_attrs: set[str]) -> list[str]:

@@ -17,9 +17,12 @@ from __future__ import annotations
 import ast
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.check.walker import SourceFile
+
+if TYPE_CHECKING:
+    from repro.check.lockmodel import LockAnalysis
 
 
 @dataclass(frozen=True)
@@ -131,8 +134,15 @@ class Rule:
 
     # -- driver API ----------------------------------------------------
 
-    def run(self, sources: Iterable[SourceFile]) -> list[Violation]:
-        """All findings over ``sources``, fingerprinted and ordered."""
+    def run(
+        self, sources: Iterable[SourceFile], analysis: LockAnalysis | None = None
+    ) -> list[Violation]:
+        """All findings over ``sources``, fingerprinted and ordered.
+
+        ``analysis`` is the run's shared call graph + lock model over
+        the same ``sources``; rules that need it read it from there
+        (and build their own when run alone), the others ignore it.
+        """
         self._found = []
         self._suppressed = 0
         for source in sources:
@@ -144,30 +154,6 @@ class Rule:
     def suppressed(self) -> int:
         """Findings silenced by pragmas in the last :meth:`run`."""
         return self._suppressed
-
-
-def resolve_imports(tree: ast.Module) -> dict[str, str]:
-    """Map local names to the dotted path they were imported as.
-
-    ``import numpy as np`` -> ``{"np": "numpy"}``;
-    ``from datetime import datetime as dt`` -> ``{"dt": "datetime.datetime"}``.
-    Used to resolve call sites like ``np.random.rand`` back to their
-    canonical ``numpy.random.rand`` identity.
-    """
-    names: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                local = alias.asname or alias.name.split(".")[0]
-                target = alias.name if alias.asname else alias.name.split(".")[0]
-                names[local] = target
-        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                local = alias.asname or alias.name
-                names[local] = f"{node.module}.{alias.name}"
-    return names
 
 
 def dotted_path(node: ast.expr, imports: dict[str, str]) -> str | None:

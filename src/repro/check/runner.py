@@ -3,8 +3,11 @@
 :func:`run_check` is the whole programmatic API — the CLI, the CI gate
 and the test suite all call it.  It parses every file under
 ``<root>/src/repro`` once, runs the selected rule families over the
-shared parse results, resolves findings against the baseline and
-returns a :class:`CheckResult` whose ``ok`` decides the exit code.
+shared parse results — and over one shared call graph + lock model,
+built on first use, so the interprocedural families pay for it once
+and a run that selects neither never builds it — resolves findings
+against the baseline and returns a :class:`CheckResult` whose ``ok``
+decides the exit code.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.check.baseline import diff_against_baseline, load_baseline, save_baseline
+from repro.check.lockmodel import LockAnalysis
 from repro.check.rules import RULE_FACTORIES, Violation
 from repro.check.walker import CheckConfigError, iter_source_files
 
@@ -99,11 +103,12 @@ def run_check(
         )
 
     sources = list(iter_source_files(src_root))
+    analysis = LockAnalysis(sources)
     violations: list[Violation] = []
     suppressed = 0
     for name in selected:
         rule = RULE_FACTORIES[name]()
-        violations.extend(rule.run(sources))
+        violations.extend(rule.run(sources, analysis))
         suppressed += rule.suppressed
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.code))
 

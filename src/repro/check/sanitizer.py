@@ -357,16 +357,8 @@ def static_lock_graph(root: str | Path) -> tuple[set[tuple[str, str]], set[str]]
     Imported lazily by the test harness to compare against observation;
     kept here so the static and runtime sides share one entry point.
     """
-    from repro.check.callgraph import CallGraph
-    from repro.check.lockmodel import LockModel
+    from repro.check.lockmodel import LockAnalysis
     from repro.check.walker import iter_source_files
 
-    sources = list(iter_source_files(Path(root)))
-    graph = CallGraph.build(sources)
-    model = LockModel.build(sources, graph)
+    model = LockAnalysis(iter_source_files(Path(root))).model
     return set(model.order_edges), set(model.decls)
-
-
-def static_order_edges(root: str | Path) -> set[tuple[str, str]]:
-    """Just the statically derived lock-order edges for a source tree."""
-    return static_lock_graph(root)[0]

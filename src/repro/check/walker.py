@@ -6,6 +6,12 @@ found in comments.  Rules never touch the filesystem; they consume
 ``SourceFile`` instances, which also makes every rule trivially
 testable from an inline string (:meth:`SourceFile.from_text`).
 
+Per-file facts that several rules need — every node in walk order, the
+resolved import map and the ``if TYPE_CHECKING:`` spans — are computed
+once per file, on first use, and cached on the :class:`SourceFile`
+itself; the pure functions :func:`resolve_imports` and
+:func:`type_checking_spans` stay available for one-off use.
+
 Pragma grammar
 --------------
 A violation is suppressed by a comment on any physical line its
@@ -24,8 +30,9 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 #: Matches one suppression comment; group 1 is the rule list.
 PRAGMA_RE = re.compile(r"#\s*repro:\s*allow\[([^\]]+)\]")
@@ -61,6 +68,32 @@ class SourceFile:
                 return parts[1]
             return "<root>"
         return parts[1]
+
+    @cached_property
+    def nodes(self) -> tuple[ast.AST, ...]:
+        """Every node of the module, in :func:`ast.walk` order."""
+        return tuple(ast.walk(self.tree))
+
+    @cached_property
+    def import_nodes(self) -> tuple[ast.Import | ast.ImportFrom, ...]:
+        """Every ``import``/``from ... import`` statement, in walk order."""
+        return tuple(
+            node for node in self.nodes if isinstance(node, (ast.Import, ast.ImportFrom))
+        )
+
+    @cached_property
+    def imports(self) -> dict[str, str]:
+        """Local name -> imported dotted path (:func:`resolve_imports`)."""
+        return _import_map(self.import_nodes)
+
+    @cached_property
+    def type_only_spans(self) -> tuple[tuple[int, int], ...]:
+        """``if TYPE_CHECKING:`` body spans (:func:`type_checking_spans`)."""
+        return tuple(_type_checking_spans(self.nodes))
+
+    def type_only(self, lineno: int) -> bool:
+        """True when ``lineno`` sits in an ``if TYPE_CHECKING:`` body."""
+        return any(start <= lineno <= end for start, end in self.type_only_spans)
 
     @classmethod
     def from_text(cls, text: str, path: str = "<memory>", module: str = "repro._mem") -> "SourceFile":
@@ -137,20 +170,15 @@ def iter_source_files(src_root: Path) -> Iterator[SourceFile]:
     the checker refuses to silently skip what it cannot parse.
     """
     for path in sorted(src_root.rglob("*.py")):
-        text = path.read_text(encoding="utf-8")
         try:
-            tree = ast.parse(text, filename=str(path))
+            source = SourceFile.from_text(
+                path.read_text(encoding="utf-8"),
+                path=path.relative_to(src_root.parent.parent).as_posix(),
+                module=module_name_for(path, src_root),
+            )
         except SyntaxError as exc:
             raise CheckConfigError(f"cannot parse {path}: {exc}") from exc
-        lines = tuple(text.splitlines())
-        yield SourceFile(
-            path=path.relative_to(src_root.parent.parent).as_posix(),
-            module=module_name_for(path, src_root),
-            text=text,
-            tree=tree,
-            lines=lines,
-            pragmas=extract_pragmas(lines),
-        )
+        yield source
 
 
 def type_checking_spans(tree: ast.Module) -> list[tuple[int, int]]:
@@ -159,8 +187,12 @@ def type_checking_spans(tree: ast.Module) -> list[tuple[int, int]]:
     Imports inside these blocks never execute at runtime, so the
     layering rule treats them as documentation, not dependencies.
     """
+    return _type_checking_spans(ast.walk(tree))
+
+
+def _type_checking_spans(nodes: Iterable[ast.AST]) -> list[tuple[int, int]]:
     spans: list[tuple[int, int]] = []
-    for node in ast.walk(tree):
+    for node in nodes:
         if not isinstance(node, ast.If):
             continue
         test = node.test
@@ -170,3 +202,31 @@ def type_checking_spans(tree: ast.Module) -> list[tuple[int, int]]:
         if is_tc and node.body:
             spans.append((node.body[0].lineno, max(s.end_lineno or s.lineno for s in node.body)))
     return spans
+
+
+def resolve_imports(tree: ast.Module) -> dict[str, str]:
+    """Map local names to the dotted path they were imported as.
+
+    ``import numpy as np`` -> ``{"np": "numpy"}``;
+    ``from datetime import datetime as dt`` -> ``{"dt": "datetime.datetime"}``.
+    Used to resolve call sites like ``np.random.rand`` back to their
+    canonical ``numpy.random.rand`` identity.
+    """
+    return _import_map(ast.walk(tree))
+
+
+def _import_map(nodes: Iterable[ast.AST]) -> dict[str, str]:
+    names: dict[str, str] = {}
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                local = alias.asname or alias.name.split(".")[0]
+                target = alias.name if alias.asname else alias.name.split(".")[0]
+                names[local] = target
+        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
+            for alias in node.names:
+                if alias.name == "*":
+                    continue
+                local = alias.asname or alias.name
+                names[local] = f"{node.module}.{alias.name}"
+    return names

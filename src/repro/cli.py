@@ -25,6 +25,10 @@ Usage (installed as ``repro`` or via ``python -m repro``)::
 ``repro pipeline``); pass ``--no-cache`` for the direct in-process path.
 All pipeline-backed commands honour ``--cache-dir`` (default
 ``~/.cache/repro`` or ``$REPRO_CACHE_DIR``).
+
+Building the parser imports only the standard library; each handler
+imports what its subcommand uses, so ``--version``, ``--help`` and
+``check`` never load numpy or scipy.
 """
 
 from __future__ import annotations
@@ -32,27 +36,18 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from typing import TYPE_CHECKING
 
 import repro
-from repro.data.corpus import TweetCorpus
-from repro.data.gazetteer import Scale
-from repro.data.io import DataFormatError, read_tweets_csv, write_tweets_csv
-from repro.geo.gazetteer import GazetteerSpecError
-from repro.epidemic import arrival_times
-from repro.experiments import (
-    ExperimentContext,
-    run_all_experiments,
-    run_fig1,
-    run_fig2,
-    run_fig3,
-    run_fig4,
-    run_table1,
-    run_table2,
-)
-from repro.models import GravityModel, RadiationModel
-from repro.synth import SynthConfig, generate_corpus
+
+if TYPE_CHECKING:
+    from repro.data.corpus import TweetCorpus
+    from repro.synth import SynthConfig
 
 EXPERIMENTS = ("table1", "fig1", "fig2", "fig3", "fig4", "table2", "all")
+
+#: ``Scale`` values, spelled out so the parser needs no numpy-backed import.
+SCALES = ("national", "state", "metropolitan")
 
 
 class CLIError(Exception):
@@ -65,6 +60,9 @@ class CLIError(Exception):
 
 def _read_corpus(path: str) -> TweetCorpus:
     """Load a corpus CSV, mapping I/O failures to clean CLI errors."""
+    from repro.data.corpus import TweetCorpus
+    from repro.data.io import DataFormatError, read_tweets_csv
+
     try:
         return TweetCorpus.from_tweets(read_tweets_csv(path))
     except FileNotFoundError:
@@ -196,8 +194,8 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cache-dir", help="artifact cache directory")
     serve.add_argument(
         "--monitor-scale",
-        choices=[s.value for s in Scale],
-        default=Scale.NATIONAL.value,
+        choices=SCALES,
+        default="national",
         help="area system for the live ingest monitor",
     )
     serve.add_argument(
@@ -238,8 +236,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sback.add_argument("--seed", type=int, default=20150413, help="RNG seed")
     sback.add_argument(
         "--scale",
-        choices=[s.value for s in Scale],
-        default=Scale.NATIONAL.value,
+        choices=SCALES,
+        default="national",
         help="area system to summarise at",
     )
     sback.add_argument("--cache-dir", help="artifact cache directory")
@@ -256,8 +254,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sstatus.add_argument(
         "--scale",
-        choices=[s.value for s in Scale],
-        default=Scale.NATIONAL.value,
+        choices=SCALES,
+        default="national",
         help="summary namespace to inspect",
     )
     sstatus.add_argument("--cache-dir", help="artifact cache directory")
@@ -405,28 +403,37 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _synth_config(args: argparse.Namespace, **overrides) -> SynthConfig:
+    """The ``SynthConfig`` named by a subcommand's --users/--seed/--gazetteer."""
+    from repro.synth import SynthConfig
+
+    return SynthConfig(
+        n_users=args.users,
+        seed=args.seed,
+        gazetteer=getattr(args, "gazetteer", "legacy"),
+        **overrides,
+    )
+
+
 def _load_or_generate(args: argparse.Namespace) -> TweetCorpus:
+    from repro.synth import generate_corpus
+
     if getattr(args, "corpus", None):
         print(f"loading corpus from {args.corpus} ...", file=sys.stderr)
         return _read_corpus(args.corpus)
     print(f"synthesising corpus ({args.users} users) ...", file=sys.stderr)
-    config = SynthConfig(
-        n_users=args.users,
-        seed=args.seed,
-        gazetteer=getattr(args, "gazetteer", "legacy"),
-    )
-    return generate_corpus(config).corpus
+    return generate_corpus(_synth_config(args)).corpus
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from repro.data.io import write_tweets_csv
+    from repro.synth import generate_corpus
+
     if args.jobs < 1:
         print(f"repro generate: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
         return 2
     start = time.time()  # repro: allow[determinism] CLI progress timing
-    result = generate_corpus(
-        SynthConfig(n_users=args.users, seed=args.seed, gazetteer=args.gazetteer),
-        jobs=args.jobs,
-    )
+    result = generate_corpus(_synth_config(args), jobs=args.jobs)
     count = write_tweets_csv(result.corpus.iter_tweets(), args.out)
     print(
         f"wrote {count} tweets by {result.corpus.n_users} users to {args.out} "
@@ -436,12 +443,25 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    from repro.experiments import run_table1
+
     corpus = _read_corpus(args.corpus)
     print(run_table1(corpus).render())
     return 0
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from repro.experiments import (
+        ExperimentContext,
+        run_all_experiments,
+        run_fig1,
+        run_fig2,
+        run_fig3,
+        run_fig4,
+        run_table1,
+        run_table2,
+    )
+
     if args.which == "all" and not args.no_cache:
         from repro.pipeline import TaskFailure, run_all_experiments_cached
 
@@ -453,9 +473,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             return 2
         try:
             suite, run = run_all_experiments_cached(
-                config=None if args.corpus else SynthConfig(
-                    n_users=args.users, seed=args.seed, gazetteer=args.gazetteer
-                ),
+                config=None if args.corpus else _synth_config(args),
                 corpus_path=args.corpus,
                 cache_dir=args.cache_dir,
                 jobs=args.jobs,
@@ -533,11 +551,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         print(f"removed {removed} cache files from {store.root}")
         return 0
 
-    config = None
-    if not args.corpus:
-        config = SynthConfig(
-            n_users=args.users, seed=args.seed, gazetteer=args.gazetteer
-        )
+    config = None if args.corpus else _synth_config(args)
     if args.pipeline_command == "status":
         pipeline = suite_pipeline(
             config=config, corpus_path=args.corpus, gazetteer=args.gazetteer
@@ -624,6 +638,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.data.gazetteer import Scale
     from repro.pipeline import ArtifactStore
     from repro.serve import (
         RegistryError,
@@ -667,6 +682,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_serve_cluster(args: argparse.Namespace) -> int:
     from repro.cluster import ClusterConfig, ClusterSupervisor
+    from repro.data.gazetteer import Scale
 
     config = ClusterConfig(
         host=args.host,
@@ -700,7 +716,7 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
 
 def _cmd_summary(args: argparse.Namespace) -> int:
     from repro.core.world import World
-    from repro.data.gazetteer import gazetteer_from_spec
+    from repro.data.gazetteer import Scale, gazetteer_from_spec
     from repro.pipeline import ArtifactStore, TaskFailure
     from repro.summary import SummaryStore, backfill_summary
 
@@ -732,9 +748,7 @@ def _cmd_summary(args: argparse.Namespace) -> int:
         raise CLIError(f"--jobs must be >= 1, got {args.jobs}")
     config = None
     if not args.corpus:
-        config = SynthConfig(
-            n_users=args.users, seed=args.seed, gazetteer=args.gazetteer
-        )
+        config = _synth_config(args)
         print(f"synthesising corpus ({args.users} users) ...", file=sys.stderr)
     summary.recover()
     try:
@@ -766,6 +780,10 @@ def _cmd_summary(args: argparse.Namespace) -> int:
 
 def _cmd_epidemic(args: argparse.Namespace) -> int:
     import numpy as np
+
+    from repro.data.gazetteer import Scale
+    from repro.epidemic import arrival_times
+    from repro.experiments import ExperimentContext
 
     corpus = _load_or_generate(args)
     context = ExperimentContext(corpus)
@@ -884,9 +902,10 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 def _cmd_groundtruth(args: argparse.Namespace) -> int:
     from repro.experiments.ground_truth import run_ground_truth_validation
+    from repro.synth import generate_corpus
 
     print(f"synthesising corpus ({args.users} users) ...", file=sys.stderr)
-    result = generate_corpus(SynthConfig(n_users=args.users, seed=args.seed))
+    result = generate_corpus(_synth_config(args))
     print(run_ground_truth_validation(result).render())
     return 0
 
@@ -894,7 +913,9 @@ def _cmd_groundtruth(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from repro.models import k_fold_cross_validate
+    from repro.data.gazetteer import Scale
+    from repro.experiments import ExperimentContext
+    from repro.models import GravityModel, RadiationModel, k_fold_cross_validate
 
     corpus = _load_or_generate(args)
     context = ExperimentContext(corpus)
@@ -924,13 +945,14 @@ def _cmd_distance(args: argparse.Namespace) -> int:
 
 def _cmd_temporal(args: argparse.Namespace) -> int:
     from repro.extraction.temporal import day_night_ratio, hourly_profile, weekly_profile
+    from repro.synth import generate_corpus
 
     if getattr(args, "corpus", None):
         corpus = _load_or_generate(args)
     else:
         print(f"synthesising corpus ({args.users} users) ...", file=sys.stderr)
         corpus = generate_corpus(
-            SynthConfig(n_users=args.users, seed=args.seed, diurnal_amplitude=args.diurnal)
+            _synth_config(args, diurnal_amplitude=args.diurnal)
         ).corpus
     print("Hourly activity profile:")
     print(hourly_profile(corpus).render())
@@ -942,6 +964,7 @@ def _cmd_temporal(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from repro.experiments import run_all_experiments
     from repro.experiments.report import generate_report
 
     corpus = _load_or_generate(args)
@@ -976,6 +999,7 @@ def _cmd_health(args: argparse.Namespace) -> int:
 
 def _cmd_anonymize(args: argparse.Namespace) -> int:
     from repro.data.anonymize import coarsen_coordinates, pseudonymize_users
+    from repro.data.io import write_tweets_csv
 
     corpus = _read_corpus(args.corpus)
     anonymous = pseudonymize_users(corpus, key=args.key)
@@ -1052,12 +1076,25 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except GazetteerSpecError as error:
-        print(f"repro {args.command}: {error}", file=sys.stderr)
-        return 1
     except CLIError as error:
         print(f"repro {args.command}: {error}", file=sys.stderr)
         return error.code
+    except ValueError as error:
+        if not _is_gazetteer_spec_error(error):
+            raise
+        print(f"repro {args.command}: {error}", file=sys.stderr)
+        return 1
+
+
+def _is_gazetteer_spec_error(error: ValueError) -> bool:
+    """True for a bad ``--gazetteer`` spec.
+
+    Checked through ``sys.modules`` so the CLI never imports the
+    (numpy-backed) geo package just to name the class: only a loaded
+    module can have raised one.
+    """
+    gazetteer = sys.modules.get("repro.geo.gazetteer")
+    return gazetteer is not None and isinstance(error, gazetteer.GazetteerSpecError)
 
 
 if __name__ == "__main__":

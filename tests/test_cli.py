@@ -199,6 +199,16 @@ class TestCleanCorpusErrors:
         assert code == 2
         assert "directory" in capsys.readouterr().err
 
+    def test_bad_gazetteer_spec(self, tmp_path, capsys):
+        code = main(
+            ["generate", "--users", "10", "--out", str(tmp_path / "c.csv"),
+             "--gazetteer", "synth:nope"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("repro generate: bad gazetteer")
+        assert "Traceback" not in err
+
     def test_stats_malformed_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("this,is,not\na,corpus,file\n")
