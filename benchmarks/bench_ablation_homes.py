@@ -23,9 +23,7 @@ def test_presence_based(benchmark, bench_context):
     areas = areas_for_scale(Scale.NATIONAL)
 
     def extract():
-        return extract_area_observations(
-            bench_context.corpus, areas, 50.0, index=bench_context.index
-        )
+        return extract_area_observations(bench_context.corpus, areas, 50.0)
 
     observations = benchmark(extract)
     twitter, census = twitter_population_arrays(observations)

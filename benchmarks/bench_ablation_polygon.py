@@ -22,9 +22,7 @@ def test_disc_extraction(benchmark, bench_context):
     areas = areas_for_scale(Scale.METROPOLITAN)
 
     def extract():
-        return extract_area_observations(
-            bench_context.corpus, areas, 2.0, index=bench_context.index
-        )
+        return extract_area_observations(bench_context.corpus, areas, 2.0)
 
     observations = benchmark(extract)
     twitter, census = twitter_population_arrays(observations)

@@ -23,10 +23,9 @@ def test_radius_sweep(benchmark, bench_context, radius_km):
     """Time metropolitan extraction at one ε and print its correlation."""
     areas = areas_for_scale(Scale.METROPOLITAN)
     corpus = bench_context.corpus
-    index = bench_context.index
 
     def extract():
-        return extract_area_observations(corpus, areas, radius_km, index=index)
+        return extract_area_observations(corpus, areas, radius_km)
 
     observations = benchmark(extract)
     twitter, census = twitter_population_arrays(observations)

@@ -7,9 +7,9 @@ default) through two labelling paths:
   ``repro.stream.online`` used before the ``repro.core`` kernel layer.
   The implementation is preserved *here only*, as the benchmark
   baseline; the source tree has exactly one labelling implementation.
-* **micro-batched** — :class:`repro.core.label.MicroBatchLabeler`
-  flushing the dense vectorised kernel every ``--batch-size`` tweets,
-  which is what the streaming counters and the ingest endpoint now run.
+* **micro-batched** — :func:`repro.core.label.label_points` over
+  consecutive ``--batch-size``-row slices of the replay's coordinate
+  columns: the kernel scan live ingest runs once per request batch.
 
 Emits a JSON summary (stdout or ``--out``), e.g.::
 
@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.label import DEFAULT_MICRO_BATCH, MicroBatchLabeler
+from repro.core.label import label_points
 from repro.core.world import World
 from repro.data.gazetteer import Scale
 from repro.geo.distance import haversine_km
@@ -49,6 +49,9 @@ from repro.synth import SynthConfig, generate_corpus
 #: ~10 tweets per synthetic user, so 10k users replay ~100k tweets.
 DEFAULT_USERS = 10_000
 DEFAULT_SEED = 20150413
+
+#: Rows per labelled slice: one live ingest request batch.
+DEFAULT_BATCH_SIZE = 1024
 
 #: Acceptance floor: micro-batched labelling must beat the legacy
 #: per-tweet scalar path by at least this factor.
@@ -102,9 +105,13 @@ def run_benchmark(users: int, seed: int, batch_size: int) -> dict:
     ]
     scalar_seconds = time.perf_counter() - start
 
-    labeler = MicroBatchLabeler(world, batch_size=batch_size)
+    lats = corpus.lats[order]
+    lons = corpus.lons[order]
     start = time.perf_counter()
-    micro_labels = [label for _, label in labeler.label_stream(replay)]
+    micro_labels = np.concatenate([
+        label_points(world, lats[i : i + batch_size], lons[i : i + batch_size])
+        for i in range(0, lats.size, batch_size)
+    ])
     micro_seconds = time.perf_counter() - start
 
     mismatches = int(
@@ -175,7 +182,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--users", type=int, default=DEFAULT_USERS)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--batch-size", type=int, default=DEFAULT_MICRO_BATCH)
+    parser.add_argument("--batch-size", type=int, default=DEFAULT_BATCH_SIZE)
     parser.add_argument("--out", help="write the JSON summary here (else stdout)")
     parser.add_argument(
         "--check-against",
@@ -206,7 +213,7 @@ def test_core_labelling_speedup():
     pytest while still amortising the vectorised dispatch cost.
     """
     summary = run_benchmark(
-        users=2_000, seed=DEFAULT_SEED, batch_size=DEFAULT_MICRO_BATCH
+        users=2_000, seed=DEFAULT_SEED, batch_size=DEFAULT_BATCH_SIZE
     )
     print()
     print(json.dumps(summary, indent=2))

@@ -31,7 +31,7 @@ import time
 import numpy as np
 
 from repro.core.accumulate import od_matrix_from_labels
-from repro.core.label import label_corpus, label_points, membership_points
+from repro.core.label import label_corpus, label_members
 from repro.core.world import World
 from repro.data.gazetteer import Scale
 from repro.summary.backfill import build_minute_buckets
@@ -62,13 +62,13 @@ def _recompute_window(world: World, corpus, q0: int, q1: int) -> dict:
     lats = corpus.lats[rows]
     lons = corpus.lons[rows]
     users = corpus.user_ids[rows]
-    membership = membership_points(world, lats, lons)
-    tweet_counts = membership.sum(axis=0, dtype=np.int64)
+    labels, indptr, areas = label_members(world, lats, lons)
+    tweet_counts = np.bincount(areas, minlength=world.n_areas)
+    members = np.repeat(users, np.diff(indptr))
     user_counts = np.array(
-        [len(np.unique(users[membership[:, a]])) for a in range(world.n_areas)],
+        [len(np.unique(members[areas == a])) for a in range(world.n_areas)],
         dtype=np.int64,
     )
-    labels = label_points(world, lats, lons)
     flows, _ = od_matrix_from_labels(users, labels, world.n_areas)
     return {
         "tweet_counts": tweet_counts,

@@ -30,7 +30,5 @@ def bench_corpus(bench_result):
 
 @pytest.fixture(scope="session")
 def bench_context(bench_corpus):
-    """Shared experiment context (spatial index built once)."""
-    context = ExperimentContext(bench_corpus)
-    context.index  # force the index build outside benchmark timings
-    return context
+    """Shared experiment context (per-scale extraction cached once)."""
+    return ExperimentContext(bench_corpus)

@@ -30,9 +30,7 @@ def radius_sweep(context: ExperimentContext) -> None:
     print("Search-radius sweep (metropolitan scale):")
     areas = areas_for_scale(Scale.METROPOLITAN)
     for radius_km in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0):
-        observations = extract_area_observations(
-            context.corpus, areas, radius_km, index=context.index
-        )
+        observations = extract_area_observations(context.corpus, areas, radius_km)
         twitter, census = twitter_population_arrays(observations)
         correlation = log_pearson(twitter, census)
         bar = "#" * max(0, int(correlation.r * 40))

@@ -8,9 +8,9 @@ three things the paper's artefacts are made of, exactly once:
     :class:`World` — the area system: areas + ε radius + cached centre
     columns, population vector, pairwise distance matrix.
 ``label``
-    The ε-disc labelling kernels: index-accelerated batch labelling,
-    the dense micro-batch kernel, scalar conveniences over the same
-    arithmetic, and :class:`MicroBatchLabeler` for streaming.
+    The ε-disc labelling entry points, all answered by one scan of the
+    world's centre index, plus the dense reference they are checked
+    against.
 ``accumulate``
     Population and OD counting rules in vectorised-batch and
     incremental (windowed) forms.
@@ -28,9 +28,6 @@ from repro.core.accumulate import (
     od_matrix_from_labels,
 )
 from repro.core.label import (
-    MicroBatchLabeler,
-    build_index,
-    containing_areas,
     count_population,
     label_corpus,
     label_point,
@@ -41,12 +38,9 @@ from repro.core.label import (
 from repro.core.world import World
 
 __all__ = [
-    "MicroBatchLabeler",
     "ODAccumulator",
     "PopulationAccumulator",
     "World",
-    "build_index",
-    "containing_areas",
     "count_population",
     "label_corpus",
     "label_point",

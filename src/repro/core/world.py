@@ -31,7 +31,7 @@ from repro.data.gazetteer import (
     search_radius_km,
 )
 from repro.geo.distance import pairwise_distance_matrix, points_to_point_km
-from repro.geo.index import BruteForceIndex, CenterGridIndex, GridIndex, build_index
+from repro.geo.index import CenterGridIndex
 from repro.geo.polygon import Polygon
 
 
@@ -151,23 +151,11 @@ class World:
         return pairwise_distance_matrix([a.center for a in self.areas])
 
     @cached_property
-    def centers_index(self) -> "GridIndex | BruteForceIndex":
-        """A spatial index over the area centres.
-
-        Brute force below :data:`repro.geo.index.GRID_INDEX_THRESHOLD`
-        centres (the paper's 60-area worlds), grid-bucketed above it
-        (country-scale gazetteers); both answer radius queries
-        identically, proven by the equivalence suite.
-        """
-        return build_index(self.centers_lat, self.centers_lon)
-
-    @cached_property
     def center_grid(self) -> CenterGridIndex:
-        """The grid-bucketed ε-labelling index over the area centres.
+        """The ε-labelling index over the area centres.
 
-        Built lazily: only the large-world labelling path (see
-        :func:`repro.core.label.label_points`) touches it, so the
-        paper's 60-area worlds never pay for candidate registration.
+        Built lazily on first use; every :mod:`repro.core.label` entry
+        point scans it.
         """
         return CenterGridIndex(self.centers_lat, self.centers_lon, self.radius_km)
 

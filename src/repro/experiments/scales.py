@@ -1,9 +1,10 @@
 """Shared experiment context: the three scales plus cached extraction.
 
 Several experiments need the same expensive intermediates over one
-corpus — the spatial index, per-scale area labels, per-scale OD flows.
-:class:`ExperimentContext` computes each lazily and memoises it so a
-full experiment suite builds the index exactly once.
+corpus — per-scale area observations, area labels and OD flows.
+:class:`ExperimentContext` computes each lazily and memoises it, along
+with each scale's :class:`World`, so a full experiment suite builds each
+world's centre index exactly once.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from repro.extraction.population import (
     assign_tweets_to_areas,
     extract_area_observations,
 )
-from repro.geo.index import GridIndex
 from repro.models.registry import fit_kind
 
 
@@ -66,25 +66,16 @@ class ExperimentContext:
     def __init__(
         self,
         corpus: TweetCorpus,
-        index: GridIndex | None = None,
         gazetteer: str | None = None,
     ) -> None:
         self.corpus = corpus
         self.gazetteer = gazetteer
         self.specs = default_scale_specs(gazetteer)
-        self._index = index
         self._worlds: dict[tuple[Scale, float], World] = {}
         self._observations: dict[tuple[Scale, float], list[AreaObservation]] = {}
         self._labels: dict[tuple[Scale, float], "object"] = {}
         self._flows: dict[tuple[Scale, float], ODFlows] = {}
         self._networks: dict[tuple[Scale, str, float], MobilityNetwork] = {}
-
-    @property
-    def index(self) -> GridIndex:
-        """The spatial index over the corpus (built on first use)."""
-        if self._index is None:
-            self._index = GridIndex(self.corpus.lats, self.corpus.lons)
-        return self._index
 
     def spec(self, scale: Scale) -> ScaleSpec:
         """The spec for one scale."""
@@ -117,7 +108,7 @@ class ExperimentContext:
         key = (scale, radius)
         if key not in self._observations:
             self._observations[key] = extract_area_observations(
-                self.corpus, self.world(scale, radius), radius, index=self.index
+                self.corpus, self.world(scale, radius), radius
             )
         return self._observations[key]
 
@@ -128,7 +119,7 @@ class ExperimentContext:
         key = (scale, radius)
         if key not in self._labels:
             self._labels[key] = assign_tweets_to_areas(
-                self.corpus, self.world(scale, radius), radius, index=self.index
+                self.corpus, self.world(scale, radius), radius
             )
         return self._labels[key]
 

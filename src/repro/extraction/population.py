@@ -23,11 +23,10 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.label import build_index, count_population, label_corpus
+from repro.core.label import count_population, label_corpus
 from repro.core.world import World
 from repro.data.corpus import TweetCorpus
 from repro.data.gazetteer import Area
-from repro.geo.index import BruteForceIndex, GridIndex
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,7 +58,6 @@ def extract_area_observations(
     corpus: TweetCorpus,
     areas: Sequence[Area] | World,
     radius_km: float,
-    index: GridIndex | BruteForceIndex | None = None,
 ) -> list[AreaObservation]:
     """Count tweets and unique users within ``radius_km`` of each area.
 
@@ -72,20 +70,12 @@ def extract_area_observations(
         prebuilt :class:`~repro.core.world.World` over them.
     radius_km:
         The search radius ε.
-    index:
-        Optional prebuilt spatial index over exactly this corpus's
-        coordinates; pass one when extracting several scales from the
-        same corpus to avoid rebuilding.
     """
     if radius_km <= 0:
         raise ValueError(f"radius must be positive, got {radius_km}")
     world = _as_world(areas, radius_km)
-    if index is None:
-        index = build_index(corpus.lats, corpus.lons)
-    if len(index) != len(corpus):
-        raise ValueError("index was built over a different corpus")
     tweet_counts, user_counts = count_population(
-        world, corpus.lats, corpus.lons, corpus.user_ids, index=index
+        world, corpus.lats, corpus.lons, corpus.user_ids
     )
     return [
         AreaObservation(
@@ -102,7 +92,6 @@ def assign_tweets_to_areas(
     corpus: TweetCorpus,
     areas: Sequence[Area] | World,
     radius_km: float,
-    index: GridIndex | BruteForceIndex | None = None,
 ) -> np.ndarray:
     """Label each tweet with its area index, or -1 when outside every ε-disc.
 
@@ -113,12 +102,7 @@ def assign_tweets_to_areas(
     """
     if radius_km <= 0:
         raise ValueError(f"radius must be positive, got {radius_km}")
-    world = _as_world(areas, radius_km)
-    if index is None:
-        index = build_index(corpus.lats, corpus.lons)
-    if len(index) != len(corpus):
-        raise ValueError("index was built over a different corpus")
-    return label_corpus(world, corpus.lats, corpus.lons, index=index)
+    return label_corpus(_as_world(areas, radius_km), corpus.lats, corpus.lons)
 
 
 def twitter_population_arrays(

@@ -15,11 +15,10 @@ The modules are intentionally small and dependency-light:
     Axis-aligned :class:`~repro.geo.bbox.BoundingBox` in lat/lon space.
 ``grid``
     A uniform lat/lon binning grid used both for density maps (Fig 1 of
-    the paper) and as the bucket layer of the spatial index.
+    the paper) and as the bucket layer of the centre index.
 ``index``
-    ε-radius neighbour queries: a grid-accelerated index and a brute-force
-    reference implementation used to cross-check it, plus the
-    grid-bucketed nearest-centre labeller for country-scale area sets.
+    The grid-bucketed centre index behind every ε-disc decision: which
+    centres' discs contain a point, and which of them is nearest.
 ``gazetteer``
     Deterministic synthesis of country-scale hierarchical area systems
     (states tiled by cities tiled by suburbs, as convex Voronoi cells).
@@ -47,31 +46,21 @@ from repro.geo.gazetteer import (
     parse_gazetteer_spec,
 )
 from repro.geo.grid import DensityGrid, GridSpec
-from repro.geo.index import (
-    BruteForceIndex,
-    CenterGridIndex,
-    GridIndex,
-    RadiusQueryResult,
-    build_index,
-)
+from repro.geo.index import CenterGridIndex
 from repro.geo.projection import LocalProjection
 
 __all__ = [
     "BoundingBox",
-    "BruteForceIndex",
     "CenterGridIndex",
     "Coordinate",
     "DensityGrid",
     "EARTH_RADIUS_KM",
     "GazetteerSpec",
-    "GridIndex",
     "GridSpec",
     "LocalProjection",
-    "RadiusQueryResult",
     "SynthArea",
     "SyntheticGazetteer",
     "build_gazetteer",
-    "build_index",
     "parse_gazetteer_spec",
     "bearing_deg",
     "destination_point",

@@ -5,8 +5,8 @@ The same gridding machinery serves two purposes in the reproduction:
 1. Figure 1 of the paper is a log-scaled tweet-density map of Australia.
    :class:`DensityGrid` accumulates point counts into lat/lon cells and
    exposes the raw and log-scaled matrices the figure plots.
-2. The ε-radius queries behind population extraction (Section III) are
-   accelerated by bucketing points into grid cells; see
+2. The ε-disc labelling behind population and OD extraction
+   (Section III) buckets area centres into grid cells; see
    :mod:`repro.geo.index`.
 """
 

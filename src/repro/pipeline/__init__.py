@@ -21,7 +21,6 @@ from repro.pipeline.graph import CycleError, Pipeline
 from repro.pipeline.graphs import (
     ARTEFACT_TASKS,
     corpus_task,
-    index_task,
     run_all_experiments_cached,
     run_suite,
     suite_pipeline,
@@ -49,7 +48,6 @@ __all__ = [
     "default_cache_dir",
     "fingerprint",
     "hash_file",
-    "index_task",
     "run_all_experiments_cached",
     "run_suite",
     "suite_pipeline",

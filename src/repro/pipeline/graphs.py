@@ -5,8 +5,8 @@ The DAG mirrors the data flow of ``run_all_experiments``::
     corpus ──┬── table1
              ├── fig1
              ├── fig2
-             └── index ──┬── fig3
-                         └── fig4 ── table2
+             ├── fig3
+             └── fig4 ── table2
 
 ``corpus`` either synthesises (sharded across ``ctx.jobs`` workers,
 bit-identical to serial) or loads a CSV, keyed by the file's content
@@ -33,7 +33,6 @@ from repro.experiments.runner import ExperimentSuiteResult
 from repro.experiments.scales import ExperimentContext
 from repro.experiments.table1 import run_table1
 from repro.experiments.table2 import table2_from_fig4
-from repro.geo.index import GridIndex
 from repro.pipeline.executor import Executor, RunResult
 from repro.pipeline.graph import Pipeline
 from repro.pipeline.hashing import hash_file
@@ -50,7 +49,6 @@ ARTEFACT_TASKS = ("table1", "fig1", "fig2", "fig3", "fig4", "table2")
 #: anything upstream.
 TASK_VERSIONS = {
     "corpus": "1",
-    "index": "1",
     "table1": "1",
     "fig1": "1",
     "fig2": "1",
@@ -69,17 +67,8 @@ def _task_load_corpus(ctx: TaskContext) -> TweetCorpus:
     return TweetCorpus.from_tweets(read_tweets_csv(ctx.params["path"]))
 
 
-def _task_index(ctx: TaskContext) -> GridIndex:
-    corpus = ctx.input("corpus")
-    return GridIndex(corpus.lats, corpus.lons)
-
-
 def _context(ctx: TaskContext) -> ExperimentContext:
-    return ExperimentContext(
-        ctx.input("corpus"),
-        index=ctx.input("index"),
-        gazetteer=ctx.params.get("gazetteer"),
-    )
+    return ExperimentContext(ctx.input("corpus"), gazetteer=ctx.params.get("gazetteer"))
 
 
 def corpus_task(
@@ -109,16 +98,6 @@ def corpus_task(
         version=TASK_VERSIONS["corpus"],
         # Generation shards across its own worker pool (ctx.jobs).
         run_in_parent=True,
-    )
-
-
-def index_task() -> Task:
-    """The shared ``index`` task (spatial index over the corpus)."""
-    return Task(
-        name="index",
-        fn=_task_index,
-        deps=("corpus",),
-        version=TASK_VERSIONS["index"],
     )
 
 
@@ -165,7 +144,6 @@ def suite_pipeline(
     if gazetteer is None:
         gazetteer = config.gazetteer if config is not None else "legacy"
     pipeline = Pipeline([corpus_task(config=config, corpus_path=corpus_path)])
-    pipeline.add(index_task())
     simple = {"table1": _task_table1, "fig1": _task_fig1, "fig2": _task_fig2}
     for name, fn in simple.items():
         pipeline.add(
@@ -175,7 +153,7 @@ def suite_pipeline(
         Task(
             name="fig3",
             fn=_task_fig3,
-            deps=("corpus", "index"),
+            deps=("corpus",),
             params={"gazetteer": gazetteer},
             version=TASK_VERSIONS["fig3"],
         )
@@ -184,7 +162,7 @@ def suite_pipeline(
         Task(
             name="fig4",
             fn=_task_fig4,
-            deps=("corpus", "index"),
+            deps=("corpus",),
             params={"gazetteer": gazetteer},
             version=TASK_VERSIONS["fig4"],
         )

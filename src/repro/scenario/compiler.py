@@ -1,17 +1,17 @@
 """Compile scenarios into pipeline DAG nodes.
 
-A scenario compiles to four content-addressed tasks::
+A scenario compiles to three content-addressed tasks::
 
-    corpus ── index ── network-<fp> ── scenario-<name>
+    corpus ── network-<fp> ── scenario-<name>
 
-``corpus`` and ``index`` are *the same tasks* (same names, params and
-versions) the experiment suite uses, so scenario runs share cached
-corpora with ``repro pipeline run``.  The network task is keyed by the
+``corpus`` is *the same task* (same name, params and version) the
+experiment suite uses, so scenario runs share cached corpora with
+``repro pipeline run``.  The network task is keyed by the
 (world, model) fingerprint, so every scenario on one world/model pair
 shares one fitted network artifact; the scenario task is keyed by the
 canonical config dict, so permuting an intervention stack — or renaming
 nothing — is a cache hit.  A comparison is just a bigger DAG: shared
-corpus/index, deduplicated network nodes, one scenario node per member
+corpus, deduplicated network nodes, one scenario node per member
 and a ``compare`` join task, all sharded across ``--jobs`` workers.
 """
 
@@ -21,7 +21,7 @@ from repro.data.gazetteer import Scale
 from repro.experiments.scales import ExperimentContext
 from repro.pipeline.executor import Executor, RunResult
 from repro.pipeline.graph import Pipeline
-from repro.pipeline.graphs import corpus_task, index_task
+from repro.pipeline.graphs import corpus_task
 from repro.pipeline.hashing import fingerprint
 from repro.pipeline.store import ArtifactStore
 from repro.pipeline.task import Task, TaskContext
@@ -59,9 +59,7 @@ def scenario_task_name(config: ScenarioConfig) -> str:
 
 
 def _task_network(ctx: TaskContext) -> dict:
-    context = ExperimentContext(
-        ctx.input("corpus"), index=ctx.input("index"), gazetteer=ctx.params["gazetteer"]
-    )
+    context = ExperimentContext(ctx.input("corpus"), gazetteer=ctx.params["gazetteer"])
     scale = Scale(ctx.params["scale"])
     return {
         "network": context.network(
@@ -89,7 +87,7 @@ def _add_scenario_nodes(pipeline: Pipeline, config: ScenarioConfig) -> str:
             Task(
                 name=net_name,
                 fn=_task_network,
-                deps=("corpus", "index"),
+                deps=("corpus",),
                 params=network_params(config),
                 version=SCENARIO_TASK_VERSIONS["network"],
             )
@@ -108,9 +106,8 @@ def _add_scenario_nodes(pipeline: Pipeline, config: ScenarioConfig) -> str:
 
 
 def scenario_pipeline(config: ScenarioConfig) -> Pipeline:
-    """The four-node DAG for one scenario."""
+    """The three-node DAG for one scenario."""
     pipeline = Pipeline([corpus_task(config.synth_config())])
-    pipeline.add(index_task())
     _add_scenario_nodes(pipeline, config)
     pipeline.validate()
     return pipeline
@@ -139,7 +136,6 @@ def comparison_pipeline(configs: tuple[ScenarioConfig, ...]) -> Pipeline:
                 f"{config.name!r} disagrees with {first.name!r}"
             )
     pipeline = Pipeline([corpus_task(first.synth_config())])
-    pipeline.add(index_task())
     member_tasks = tuple(_add_scenario_nodes(pipeline, config) for config in configs)
     pipeline.add(
         Task(

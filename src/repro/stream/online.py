@@ -12,14 +12,11 @@ current window:
   (consecutive-pair transitions between labelled areas).
 
 Labelling and counting are the kernel layer's — :mod:`repro.core` — so
-the equivalences are structural: the stream runs the same vectorised
-arithmetic as the batch extractors (the old scalar per-tweet linear
-scan, whose float sequence could drift from the batch path at disc
-boundaries, is gone).  ``push`` ingests one tweet; ``push_batch``
-ingests a time-ordered batch labelled once by
-:func:`repro.core.label.label_batch` (labels plus sparse ε-membership,
-dense below :data:`~repro.core.label.DENSE_AREA_THRESHOLD` areas and
-grid-indexed above).  :meth:`OnlineMobilityCounter.push_batch` also
+the equivalences are structural: the stream runs the same kernel as the
+batch extractors.  ``push`` ingests one tweet (a one-row kernel scan);
+``push_batch`` ingests a time-ordered batch labelled once by
+:func:`repro.core.label.label_batch` (labels plus sparse ε-membership).
+:meth:`OnlineMobilityCounter.push_batch` also
 takes an already-labelled batch — the ingest endpoint's path, which
 labels a request once for the monitor and the summary store.  The
 equivalences are asserted in the test suite by replaying corpora
@@ -33,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.accumulate import ODAccumulator, PopulationAccumulator
-from repro.core.label import LabelledBatch, containing_areas, label_batch, label_point
+from repro.core.label import LabelledBatch, label_batch, label_members, label_point
 from repro.core.world import World
 from repro.data.gazetteer import Area
 from repro.data.schema import Tweet, TweetBatch
@@ -74,9 +71,9 @@ class OnlinePopulationCounter:
         """Every area whose ε-disc contains the tweet.
 
         Overlapping discs each count the tweet — matching the batch
-        extractor, where each area's radius query is independent.
+        extractor.
         """
-        return containing_areas(self.world, tweet.lat, tweet.lon)
+        return label_members(self.world, np.array([tweet.lat]), np.array([tweet.lon]))[2]
 
     def push(self, tweet: Tweet) -> None:
         """Ingest one tweet (and expire anything that left the window)."""
@@ -139,9 +136,8 @@ class OnlineMobilityCounter:
     def push(self, tweet: Tweet) -> None:
         """Ingest one tweet in time order, labelled by :func:`label_point`.
 
-        The scalar form of the same kernel arithmetic — one vectorised
-        call over the centres instead of a one-row batch — so a
-        tweet-at-a-time stream does not pay the batch set-up per tweet.
+        Each call is a one-row kernel scan; streams that arrive in
+        batches should use :meth:`push_batch`.
         """
         if tweet.timestamp < self._latest:
             raise StreamOrderError(

@@ -1,11 +1,11 @@
 """Batch ≡ dense ≡ micro-batched streaming labelling, property-tested.
 
-The tentpole claim of the kernel layer: whichever cadence a consumer
-labels tweets at — the index-accelerated batch path, the dense
-vectorised kernel, or the streaming micro-batch wrapper — the labels
-are identical, at every paper radius.  Hypothesis drives random corpora
-through all three; a final regression pins Fig 3's overall Pearson r so
-the refactor provably reproduces the published number.
+The claim of the kernel layer: whichever cadence a consumer labels
+tweets at — a whole corpus, small slices of a stream, or one tweet at a
+time — the labels are identical to the dense reference, at every paper
+radius.  Hypothesis drives random corpora through all of them; a final
+regression pins Fig 3's overall Pearson r so the kernel provably
+reproduces the published number.
 """
 
 import json
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.label import MicroBatchLabeler, label_points
+from repro.core.label import label_points, label_points_dense
 from repro.core.world import World
 from repro.data.corpus import TweetCorpus
 from repro.data.gazetteer import Scale
@@ -29,6 +29,15 @@ GOLDEN_PATH = Path(__file__).parent.parent / "golden" / "golden_small.json"
 RADII_KM = (50.0, 25.0, 2.0)
 
 NATIONAL = World.from_scale(Scale.NATIONAL)
+
+
+def sliced_labels(world: World, corpus: TweetCorpus, size: int) -> np.ndarray:
+    """Labels from :func:`label_points` over consecutive ``size``-row slices."""
+    parts = [
+        label_points(world, corpus.lats[i : i + size], corpus.lons[i : i + size])
+        for i in range(0, len(corpus), size)
+    ]
+    return np.concatenate(parts)
 
 
 @st.composite
@@ -73,13 +82,8 @@ class TestThreeWayLabelEquivalence:
         world = NATIONAL.with_radius(radius_km)
 
         batch = assign_tweets_to_areas(corpus, world.areas, radius_km)
-        dense = label_points(world, corpus.lats, corpus.lons)
-
-        tweets = list(corpus.iter_tweets())
-        labeler = MicroBatchLabeler(world, batch_size=7)
-        streamed = np.array(
-            [label for _, label in labeler.label_stream(iter(tweets))]
-        )
+        dense = label_points_dense(world, corpus.lats, corpus.lons)
+        streamed = sliced_labels(world, corpus, 7)
 
         assert np.array_equal(batch, dense)
         assert np.array_equal(batch, streamed)
@@ -87,18 +91,9 @@ class TestThreeWayLabelEquivalence:
     @given(corpus=corpora())
     @settings(max_examples=10, deadline=None)
     def test_micro_batch_size_never_changes_labels(self, corpus):
-        world = NATIONAL
-        tweets = list(corpus.iter_tweets())
-        reference = None
+        reference = label_points(NATIONAL, corpus.lats, corpus.lons)
         for batch_size in (1, 3, 64):
-            labeler = MicroBatchLabeler(world, batch_size=batch_size)
-            labels = np.array(
-                [label for _, label in labeler.label_stream(iter(tweets))]
-            )
-            if reference is None:
-                reference = labels
-            else:
-                assert np.array_equal(labels, reference)
+            assert np.array_equal(sliced_labels(NATIONAL, corpus, batch_size), reference)
 
 
 class TestFig3Regression:

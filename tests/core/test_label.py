@@ -1,18 +1,16 @@
-"""Labelling kernels: dense, indexed and scalar paths must agree exactly."""
+"""Labelling entry points: every one must agree exactly with the dense reference."""
 
 import numpy as np
 import pytest
 
 from repro.core.label import (
-    DEFAULT_MICRO_BATCH,
-    MicroBatchLabeler,
-    build_index,
-    containing_areas,
     count_population,
     label_batch,
     label_corpus,
+    label_members,
     label_point,
     label_points,
+    label_points_dense,
     membership_points,
     point_area_distances,
 )
@@ -20,7 +18,7 @@ from repro.core.world import World
 from repro.data.gazetteer import Area, Scale, areas_for_scale
 from repro.data.schema import Tweet, TweetBatch
 from repro.geo.coords import Coordinate
-from repro.geo.index import BruteForceIndex, GridIndex
+from repro.geo.index import CenterGridIndex
 
 WORLD = World.from_scale(Scale.NATIONAL)
 
@@ -37,7 +35,7 @@ def _scatter(n, seed=7, spread=3.0):
 class TestKernelAgreement:
     def test_dense_equals_indexed_equals_scalar(self):
         lats, lons = _scatter(500)
-        dense = label_points(WORLD, lats.copy(), lons.copy())
+        dense = label_points_dense(WORLD, lats, lons)
         indexed = label_corpus(WORLD, lats, lons)
         scalar = np.array(
             [label_point(WORLD, lat, lon) for lat, lon in zip(lats, lons)]
@@ -60,10 +58,12 @@ class TestKernelAgreement:
             assert np.array_equal(dense[row], swapped)
 
     def test_prebuilt_index_paths_agree(self):
+        """Labelling reuses the world's prebuilt centre index; a fresh one agrees."""
         lats, lons = _scatter(300, seed=3)
-        brute = label_corpus(WORLD, lats, lons, index=BruteForceIndex(lats, lons))
-        grid = label_corpus(WORLD, lats, lons, index=GridIndex(lats, lons))
-        assert np.array_equal(brute, grid)
+        prebuilt = WORLD.center_grid
+        fresh = CenterGridIndex(WORLD.centers_lat, WORLD.centers_lon, WORLD.radius_km)
+        assert np.array_equal(label_corpus(WORLD, lats, lons), fresh.label_points(lats, lons))
+        assert WORLD.center_grid is prebuilt
 
 
 class TestSemantics:
@@ -89,7 +89,7 @@ class TestSemantics:
         lats, lons = _scatter(100, seed=5)
         membership = membership_points(WORLD, lats, lons)
         for row, (lat, lon) in enumerate(zip(lats, lons)):
-            per_point = containing_areas(WORLD, float(lat), float(lon))
+            _labels, _indptr, per_point = label_members(WORLD, np.array([lat]), np.array([lon]))
             assert np.array_equal(np.nonzero(membership[row])[0], per_point)
 
     def test_count_population_counts_overlaps_independently(self):
@@ -104,64 +104,43 @@ class TestSemantics:
         assert np.array_equal(tweets, [4, 4])
         assert np.array_equal(unique, [3, 3])
 
+    def test_count_population_equals_dense_membership(self):
+        lats, lons = _scatter(2000, seed=9, spread=0.5)
+        users = np.random.default_rng(9).integers(0, 150, lats.size)
+        membership = membership_points(WORLD, lats, lons)
+        tweets, unique = count_population(WORLD, lats, lons, users)
+        assert np.array_equal(tweets, membership.sum(axis=0))
+        assert np.array_equal(
+            unique, [np.unique(users[membership[:, j]]).size for j in range(WORLD.n_areas)]
+        )
+
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="equal-length 1-D"):
             label_points(WORLD, np.zeros((2, 2)), np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="different point set"):
-            lats, lons = _scatter(10)
-            label_corpus(WORLD, lats, lons, index=BruteForceIndex(lats[:5], lons[:5]))
-
-
-class TestBuildIndex:
-    def test_small_sets_use_brute_force(self):
-        lats, lons = _scatter(50)
-        assert isinstance(build_index(lats, lons), BruteForceIndex)
-
-    def test_large_sets_use_grid(self):
-        lats, lons = _scatter(2500)
-        assert isinstance(build_index(lats, lons), GridIndex)
-
-    def test_explicit_preference_wins(self):
-        lats, lons = _scatter(50)
-        assert isinstance(build_index(lats, lons, prefer_grid=True), GridIndex)
+        with pytest.raises(ValueError, match="equal-length 1-D"):
+            label_corpus(WORLD, np.zeros(3), np.zeros(4))
 
 
 class TestMicroBatchLabeler:
-    def _tweets(self, n, seed=13):
-        lats, lons = _scatter(n, seed=seed)
-        return [
-            Tweet(user_id=i, timestamp=float(i), lat=float(lat), lon=float(lon))
-            for i, (lat, lon) in enumerate(zip(lats, lons))
-        ]
-
-    def test_flushes_exactly_at_batch_size(self):
-        labeler = MicroBatchLabeler(WORLD, batch_size=4)
-        tweets = self._tweets(6)
-        out = []
-        for tweet in tweets:
-            out.extend(labeler.add(tweet))
-        assert len(out) == 4  # one full batch flushed
-        assert len(labeler) == 2
-        out.extend(labeler.flush())
-        assert [t for t, _ in out] == tweets
-        assert len(labeler) == 0
+    """A stream labelled in fixed-size micro-batches equals one dense pass."""
 
     def test_stream_labels_equal_dense_kernel(self):
-        tweets = self._tweets(257)
-        labeler = MicroBatchLabeler(WORLD, batch_size=32)
-        streamed = list(labeler.label_stream(iter(tweets)))
-        lats = np.array([t.lat for t in tweets])
-        lons = np.array([t.lon for t in tweets])
-        expected = label_points(WORLD, lats, lons)
-        assert [t for t, _ in streamed] == tweets
-        assert np.array_equal([label for _, label in streamed], expected)
-
-    def test_default_batch_size(self):
-        assert MicroBatchLabeler(WORLD).batch_size == DEFAULT_MICRO_BATCH
-
-    def test_rejects_non_positive_batch(self):
-        with pytest.raises(ValueError, match="batch_size"):
-            MicroBatchLabeler(WORLD, batch_size=0)
+        lats, lons = _scatter(257, seed=13)
+        stream = TweetBatch.from_tweets(
+            [
+                Tweet(user_id=i, timestamp=float(i), lat=float(lat), lon=float(lon))
+                for i, (lat, lon) in enumerate(zip(lats, lons))
+            ]
+        )
+        blocks = [
+            label_batch(WORLD, stream.take(slice(start, start + 32)))
+            for start in range(0, len(stream), 32)
+        ]
+        assert [len(block) for block in blocks] == [32] * 8 + [1]
+        streamed_users = np.concatenate([block.tweets.user_ids for block in blocks])
+        streamed_labels = np.concatenate([block.labels for block in blocks])
+        assert np.array_equal(streamed_users, stream.user_ids)
+        assert np.array_equal(streamed_labels, label_points_dense(WORLD, lats, lons))
 
 
 class TestLabelledBatch:

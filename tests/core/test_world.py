@@ -83,4 +83,5 @@ class TestDerivedGeometry:
         assert world.area_index("nowhere-at-all") == -1
 
     def test_centers_index_covers_all_centres(self, world):
-        assert len(world.centers_index) == world.n_areas
+        assert len(world.center_grid) == world.n_areas
+        assert world.center_grid is world.center_grid

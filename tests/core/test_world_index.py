@@ -1,14 +1,13 @@
-"""Equivalence suite: the grid labelling index vs the dense reference.
+"""Equivalence suite: the labelling kernel vs the dense reference.
 
-The acceptance contract of :class:`repro.geo.index.CenterGridIndex` is
-*exact* agreement with the dense masked-argmin kernel — same winner,
-same first-minimum tie-break, same outside-ε misses — at every paper
-radius (ε ∈ {2, 25, 50} km), including points sitting exactly on grid
-cell edges and exactly at distance ε from a centre.  The suite checks
-it with hypothesis-driven point clouds over synthetic worlds and with
-hand-pinned adversarial cases, and also proves the ``centers_index``
-upgrade (brute force → :class:`GridIndex` above the threshold) answers
-radius queries identically.
+Every ε-disc decision runs through :class:`repro.geo.index.CenterGridIndex`.
+Its acceptance contract is *exact* agreement with the dense
+masked-argmin reference — same winner, same first-minimum tie-break,
+same outside-ε misses, same CSR membership — on every world: the
+paper's legacy gazetteer and a synthetic one at each paper radius
+(ε ∈ {2, 25, 50} km), a world whose discs straddle ±180° longitude, and
+a near-polar world.  Points include ones sitting exactly on grid cell
+edges and exactly at distance ε from a centre.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.label import (
-    DENSE_AREA_THRESHOLD,
     label_members,
     label_point,
     label_points,
@@ -33,15 +31,10 @@ from repro.data.gazetteer import Area, Scale, gazetteer_from_spec
 from repro.geo.bbox import AUSTRALIA_BBOX
 from repro.geo.coords import Coordinate
 from repro.geo.distance import destination_point, points_to_point_km
-from repro.geo.index import (
-    GRID_INDEX_THRESHOLD,
-    BruteForceIndex,
-    CenterGridIndex,
-    GridIndex,
-)
+from repro.geo.index import CenterGridIndex
 
 #: One synthetic world per paper scale; 300 leaves keeps builds fast
-#: while exceeding :data:`DENSE_AREA_THRESHOLD` at the metro scale.
+#: while giving the metro scale hundreds of areas.
 GAZETTEER = "synth:300@5"
 
 #: ε per scale, as Section III fixes them.
@@ -53,25 +46,75 @@ def world_for(scale: Scale, gazetteer: str | None = GAZETTEER) -> World:
     return World.from_scale(scale, gazetteer=gazetteer)
 
 
-lat_strategy = st.floats(
-    min_value=AUSTRALIA_BBOX.min_lat - 1.0,
-    max_value=AUSTRALIA_BBOX.max_lat + 1.0,
-    allow_nan=False,
-    allow_infinity=False,
+def _custom_world(centres: list[tuple[float, float]], radius_km: float) -> World:
+    return World.from_areas(
+        tuple(
+            Area(
+                name=f"c{i}",
+                center=Coordinate(lat=lat, lon=lon),
+                population=1000,
+                scale=Scale.NATIONAL,
+            )
+            for i, (lat, lon) in enumerate(centres)
+        ),
+        radius_km,
+    )
+
+
+#: Fiji-like centres on both sides of ±180°: discs cross the antimeridian.
+ANTIMERIDIAN = _custom_world(
+    [(-17.7, 179.99), (-18.1, 178.44), (-16.5, -179.9), (-17.0, 179.5), (-17.7, -179.8)],
+    25.0,
 )
-lon_strategy = st.floats(
-    min_value=AUSTRALIA_BBOX.min_lon - 1.0,
-    max_value=AUSTRALIA_BBOX.max_lon + 1.0,
-    allow_nan=False,
-    allow_infinity=False,
+
+#: Centres within a few degrees of the North Pole, spread in longitude.
+NEAR_POLAR = _custom_world(
+    [(89.9, 0.0), (88.5, 120.0), (87.0, -60.0), (89.5, 179.0), (86.0, -179.5)],
+    50.0,
 )
-points_strategy = st.lists(
-    st.tuples(lat_strategy, lon_strategy), min_size=1, max_size=64
+
+_AUSTRALIA = (
+    AUSTRALIA_BBOX.min_lat - 1.0,
+    AUSTRALIA_BBOX.max_lat + 1.0,
+    AUSTRALIA_BBOX.min_lon - 1.0,
+    AUSTRALIA_BBOX.max_lon + 1.0,
 )
+
+#: Every world under test, with the (lat, lon) box points are drawn from.
+WORLD_BOXES = {
+    **{
+        f"{scale.value}-synth": (lambda scale=scale: world_for(scale), _AUSTRALIA)
+        for scale in Scale
+    },
+    **{
+        f"{scale.value}-legacy": (lambda scale=scale: world_for(scale, None), _AUSTRALIA)
+        for scale in Scale
+    },
+    "antimeridian": (lambda: ANTIMERIDIAN, (-20.0, -15.0, 176.0, 184.0)),
+    "near-polar": (lambda: NEAR_POLAR, (80.0, 90.0, -180.0, 180.0)),
+}
+WORLD_NAMES = sorted(WORLD_BOXES)
+
+world_strategy = st.sampled_from(WORLD_NAMES)
+unit_points = st.lists(
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=64
+)
+
+
+def _wrap(lons: np.ndarray) -> np.ndarray:
+    return (lons + 180.0) % 360.0 - 180.0
+
+
+def points_in(name: str, unit: list[tuple[float, float]]) -> tuple[World, np.ndarray, np.ndarray]:
+    """Map unit-square draws into the named world's box (longitudes wrapped)."""
+    make, (lat0, lat1, lon0, lon1) = WORLD_BOXES[name]
+    u = np.array([p[0] for p in unit])
+    v = np.array([p[1] for p in unit])
+    return make(), lat0 + u * (lat1 - lat0), _wrap(lon0 + v * (lon1 - lon0))
 
 
 def assert_equivalent(world: World, lats: np.ndarray, lons: np.ndarray) -> None:
-    """Grid labelling must match the dense reference element-for-element."""
+    """Kernel labelling must match the dense reference element-for-element."""
     grid = world.center_grid.label_points(lats, lons)
     dense = label_points_dense(world, lats, lons)
     assert np.array_equal(grid, dense), (
@@ -80,49 +123,55 @@ def assert_equivalent(world: World, lats: np.ndarray, lons: np.ndarray) -> None:
     )
 
 
+def _edge_point(world: World, row: int, col: int) -> tuple[np.ndarray, np.ndarray]:
+    """A point exactly on one of the index's own cell boundary lines."""
+    spec = world.center_grid.spec
+    lat = spec.bbox.min_lat + (row % (spec.n_rows + 1)) * spec.cell_height_deg
+    lon = spec.bbox.min_lon + (col % (spec.n_cols + 1)) * spec.cell_width_deg
+    return np.array([lat, lat]), np.array([lon, _wrap(np.array(lon))])
+
+
 class TestGridDenseEquivalence:
-    @given(points=points_strategy, scale=st.sampled_from(list(Scale)))
-    @settings(max_examples=60, deadline=None)
-    def test_random_points_every_radius(self, points, scale):
-        world = world_for(scale)
-        assert world.radius_km == RADII[scale]
-        lats = np.array([p[0] for p in points])
-        lons = np.array([p[1] for p in points])
+    @given(unit=unit_points, name=world_strategy)
+    @settings(max_examples=80, deadline=None)
+    def test_random_points_every_radius(self, unit, name):
+        world, lats, lons = points_in(name, unit)
         assert_equivalent(world, lats, lons)
+
+    def test_paper_radii(self):
+        for scale in Scale:
+            assert world_for(scale).radius_km == RADII[scale]
+            assert world_for(scale, None).radius_km == RADII[scale]
 
     @given(
         area=st.integers(min_value=0, max_value=299),
         bearing=st.floats(min_value=0.0, max_value=360.0),
         fraction=st.sampled_from([0.0, 0.5, 0.999999, 1.0, 1.000001, 1.5]),
-        scale=st.sampled_from(list(Scale)),
+        name=world_strategy,
     )
-    @settings(max_examples=60, deadline=None)
-    def test_points_near_the_epsilon_boundary(self, area, bearing, fraction, scale):
+    @settings(max_examples=80, deadline=None)
+    def test_points_near_the_epsilon_boundary(self, area, bearing, fraction, name):
         """Points at, just inside and just outside ε from a real centre."""
-        world = world_for(scale)
+        world = WORLD_BOXES[name][0]()
         center = world.areas[area % world.n_areas].center
         point = destination_point(center, bearing, world.radius_km * fraction)
-        assert_equivalent(
-            world, np.array([point.lat]), np.array([point.lon])
-        )
+        lons = np.array([point.lon])
+        assert_equivalent(world, np.array([point.lat] * 2), np.r_[lons, _wrap(lons)])
 
     @given(
         row=st.integers(min_value=0, max_value=10_000),
         col=st.integers(min_value=0, max_value=10_000),
-        scale=st.sampled_from(list(Scale)),
+        name=world_strategy,
     )
-    @settings(max_examples=60, deadline=None)
-    def test_points_on_grid_cell_edges(self, row, col, scale):
+    @settings(max_examples=80, deadline=None)
+    def test_points_on_grid_cell_edges(self, row, col, name):
         """Points exactly on the index's own cell boundary lines."""
-        world = world_for(scale)
-        spec = world.center_grid.spec
-        lat = spec.bbox.min_lat + (row % (spec.n_rows + 1)) * spec.cell_height_deg
-        lon = spec.bbox.min_lon + (col % (spec.n_cols + 1)) * spec.cell_width_deg
-        assert_equivalent(world, np.array([lat]), np.array([lon]))
+        world = WORLD_BOXES[name][0]()
+        assert_equivalent(world, *_edge_point(world, row, col))
 
     def test_centres_label_to_themselves(self):
-        for scale in Scale:
-            world = world_for(scale)
+        for name in WORLD_NAMES:
+            world = WORLD_BOXES[name][0]()
             labels = world.center_grid.label_points(
                 world.centers_lat, world.centers_lon
             )
@@ -133,20 +182,20 @@ class TestGridDenseEquivalence:
             assert np.all(labels <= np.arange(world.n_areas))
 
     def test_legacy_world_unaffected_and_equivalent(self):
-        world = world_for(Scale.NATIONAL, gazetteer=None)
-        assert world.n_areas <= DENSE_AREA_THRESHOLD
+        """The paper's worlds take the kernel too, bitwise the dense oracle."""
         rng = np.random.default_rng(11)
         lats = rng.uniform(-45.0, -10.0, 500)
         lons = rng.uniform(112.0, 155.0, 500)
-        assert np.array_equal(
-            label_points(world, lats, lons),
-            label_points_dense(world, lats, lons),
-        )
-        assert_equivalent(world, lats, lons)
+        for scale in Scale:
+            world = world_for(scale, gazetteer=None)
+            assert np.array_equal(
+                label_points(world, lats, lons),
+                label_points_dense(world, lats, lons),
+            )
+            assert_equivalent(world, lats, lons)
 
     def test_large_world_dispatch_routes_through_grid(self):
         world = world_for(Scale.METROPOLITAN)
-        assert world.n_areas > DENSE_AREA_THRESHOLD
         rng = np.random.default_rng(12)
         lats = rng.uniform(-45.0, -10.0, 2000)
         lons = rng.uniform(112.0, 155.0, 2000)
@@ -156,8 +205,8 @@ class TestGridDenseEquivalence:
         )
 
     def test_label_point_matches_batch(self):
-        for scale in Scale:
-            world = world_for(scale)
+        for name in WORLD_NAMES:
+            world = WORLD_BOXES[name][0]()
             for area in (0, world.n_areas // 2, world.n_areas - 1):
                 center = world.areas[area].center
                 scalar = label_point(world, center.lat, center.lon)
@@ -165,6 +214,25 @@ class TestGridDenseEquivalence:
                     world, np.array([center.lat]), np.array([center.lon])
                 )
                 assert scalar == int(batch[0])
+
+    def test_antimeridian_neighbour_is_found(self):
+        """A disc straddling ±180° reaches points on the other side."""
+        world = _custom_world([(-17.7, 179.99)], 25.0)
+        lats, lons = np.array([-17.7]), np.array([-179.99])
+        assert label_points_dense(world, lats, lons).tolist() == [0]
+        assert world.center_grid.label_points(lats, lons).tolist() == [0]
+        assert label_members(world, lats, lons)[2].tolist() == [0]
+
+    def test_chunked_scan_equals_dense(self):
+        """Inputs longer than one scan chunk stitch back together exactly."""
+        from repro.geo.index import SCAN_CHUNK
+
+        world = world_for(Scale.NATIONAL, None)
+        rng = np.random.default_rng(16)
+        picks = rng.integers(0, world.n_areas, SCAN_CHUNK + 777)
+        lats = world.centers_lat[picks] + rng.normal(0.0, 0.5, picks.size)
+        lons = world.centers_lon[picks] + rng.normal(0.0, 0.5, picks.size)
+        assert_membership_equivalent(world, lats, lons)
 
 
 def _csr_to_dense(indptr: np.ndarray, areas: np.ndarray, n_areas: int) -> np.ndarray:
@@ -175,7 +243,7 @@ def _csr_to_dense(indptr: np.ndarray, areas: np.ndarray, n_areas: int) -> np.nda
 
 
 def assert_membership_equivalent(world: World, lats: np.ndarray, lons: np.ndarray) -> None:
-    """Sparse membership (grid scan and dispatcher) ≡ dense ``membership_points``."""
+    """Sparse membership (grid scan and entry point) ≡ dense ``membership_points``."""
     dense_members = membership_points(world, lats, lons)
     dense_labels = label_points_dense(world, lats, lons)
     for labels, indptr, areas in (
@@ -183,9 +251,8 @@ def assert_membership_equivalent(world: World, lats: np.ndarray, lons: np.ndarra
         label_members(world, lats, lons),
     ):
         assert indptr[0] == 0 and indptr[-1] == areas.size
-        for row in range(lats.size):
-            row_areas = areas[indptr[row] : indptr[row + 1]]
-            assert np.all(np.diff(row_areas) > 0), "areas must ascend per row"
+        rows = np.repeat(np.arange(lats.size), np.diff(indptr))
+        assert np.all((np.diff(areas) > 0) | (np.diff(rows) > 0)), "areas must ascend per row"
         assert np.array_equal(
             _csr_to_dense(indptr, areas, world.n_areas), dense_members
         ), f"CSR/dense membership disagree at ε={world.radius_km}"
@@ -195,42 +262,41 @@ def assert_membership_equivalent(world: World, lats: np.ndarray, lons: np.ndarra
 class TestMembershipCsrEquivalence:
     """``label_members``' CSR ε-membership vs the dense reference matrix.
 
-    The grid scan is checked directly at every paper radius (not only
-    where :func:`label_members` dispatches to it), alongside the
-    dispatcher itself.
+    Checked both on the grid scan directly and through the
+    :func:`label_members` entry point.
     """
 
-    @given(points=points_strategy, scale=st.sampled_from(list(Scale)))
-    @settings(max_examples=60, deadline=None)
-    def test_random_points_every_radius(self, points, scale):
-        world = world_for(scale)
-        assert world.radius_km == RADII[scale]
-        lats = np.array([p[0] for p in points])
-        lons = np.array([p[1] for p in points])
+    @given(unit=unit_points, name=world_strategy)
+    @settings(max_examples=80, deadline=None)
+    def test_random_points_every_radius(self, unit, name):
+        world, lats, lons = points_in(name, unit)
         assert_membership_equivalent(world, lats, lons)
 
     @given(
         area=st.integers(min_value=0, max_value=299),
         bearing=st.floats(min_value=0.0, max_value=360.0),
         fraction=st.sampled_from([0.0, 0.5, 0.999999, 1.0, 1.000001, 1.5]),
-        scale=st.sampled_from(list(Scale)),
+        name=world_strategy,
     )
-    @settings(max_examples=60, deadline=None)
-    def test_points_near_the_epsilon_boundary(self, area, bearing, fraction, scale):
-        world = world_for(scale)
+    @settings(max_examples=80, deadline=None)
+    def test_points_near_the_epsilon_boundary(self, area, bearing, fraction, name):
+        world = WORLD_BOXES[name][0]()
         center = world.areas[area % world.n_areas].center
         point = destination_point(center, bearing, world.radius_km * fraction)
-        assert_membership_equivalent(world, np.array([point.lat]), np.array([point.lon]))
+        lons = np.array([point.lon])
+        assert_membership_equivalent(
+            world, np.array([point.lat] * 2), np.r_[lons, _wrap(lons)]
+        )
 
     @given(
         area=st.integers(min_value=0, max_value=299),
         bearing=st.floats(min_value=0.0, max_value=360.0),
-        scale=st.sampled_from(list(Scale)),
+        name=world_strategy,
     )
-    @settings(max_examples=40, deadline=None)
-    def test_points_exactly_at_epsilon_are_members(self, area, bearing, scale):
+    @settings(max_examples=60, deadline=None)
+    def test_points_exactly_at_epsilon_are_members(self, area, bearing, name):
         """ε set to a point's exact kernel distance: the disc includes it."""
-        base = world_for(scale)
+        base = WORLD_BOXES[name][0]()
         index = area % base.n_areas
         center = base.areas[index].center
         point = destination_point(center, bearing, base.radius_km * 0.9)
@@ -246,35 +312,31 @@ class TestMembershipCsrEquivalence:
     @given(
         row=st.integers(min_value=0, max_value=10_000),
         col=st.integers(min_value=0, max_value=10_000),
-        scale=st.sampled_from(list(Scale)),
+        name=world_strategy,
     )
-    @settings(max_examples=60, deadline=None)
-    def test_points_on_grid_cell_edges(self, row, col, scale):
-        world = world_for(scale)
-        spec = world.center_grid.spec
-        lat = spec.bbox.min_lat + (row % (spec.n_rows + 1)) * spec.cell_height_deg
-        lon = spec.bbox.min_lon + (col % (spec.n_cols + 1)) * spec.cell_width_deg
-        assert_membership_equivalent(world, np.array([lat]), np.array([lon]))
+    @settings(max_examples=80, deadline=None)
+    def test_points_on_grid_cell_edges(self, row, col, name):
+        world = WORLD_BOXES[name][0]()
+        assert_membership_equivalent(world, *_edge_point(world, row, col))
 
     def test_centres_and_dense_clouds(self):
         rng = np.random.default_rng(14)
-        for scale in Scale:
-            world = world_for(scale)
+        for name in WORLD_NAMES:
+            world = WORLD_BOXES[name][0]()
             assert_membership_equivalent(world, world.centers_lat, world.centers_lon)
             # Jitter around the centres so many points sit in overlaps.
             picks = rng.integers(0, world.n_areas, 400)
             jitter = world.radius_km / 111.0
-            lats = world.centers_lat[picks] + rng.uniform(-jitter, jitter, 400)
-            lons = world.centers_lon[picks] + rng.uniform(-jitter, jitter, 400)
+            lats = np.clip(world.centers_lat[picks] + rng.uniform(-jitter, jitter, 400), -90, 90)
+            lons = _wrap(world.centers_lon[picks] + rng.uniform(-jitter, jitter, 400))
             assert_membership_equivalent(world, lats, lons)
 
-    def test_legacy_world_takes_the_dense_path(self):
-        world = world_for(Scale.NATIONAL, gazetteer=None)
-        assert world.n_areas <= DENSE_AREA_THRESHOLD
+    def test_legacy_world_equals_dense_oracle(self):
         rng = np.random.default_rng(15)
         lats = rng.uniform(-45.0, -10.0, 500)
         lons = rng.uniform(112.0, 155.0, 500)
-        assert_membership_equivalent(world, lats, lons)
+        for scale in Scale:
+            assert_membership_equivalent(world_for(scale, gazetteer=None), lats, lons)
 
     def test_empty_input(self):
         world = world_for(Scale.METROPOLITAN)
@@ -284,71 +346,26 @@ class TestMembershipCsrEquivalence:
 
 class TestPinnedCases:
     def _two_centre_world(self, radius_km: float = 50.0) -> World:
-        areas = (
-            Area(
-                name="west",
-                center=Coordinate(lat=0.0, lon=-0.1),
-                population=10,
-                scale=Scale.NATIONAL,
-            ),
-            Area(
-                name="east",
-                center=Coordinate(lat=0.0, lon=0.1),
-                population=10,
-                scale=Scale.NATIONAL,
-            ),
-        )
-        return World.from_areas(areas, radius_km)
+        return _custom_world([(0.0, -0.1), (0.0, 0.1)], radius_km)
 
     def test_exact_tie_breaks_to_lower_index(self):
         world = self._two_centre_world()
         grid = CenterGridIndex(world.centers_lat, world.centers_lon, world.radius_km)
         # (0, 0) is bitwise equidistant from the mirrored centres.
-        assert grid.label_point(0.0, 0.0) == 0
+        assert grid.label_points(np.zeros(1), np.zeros(1)).tolist() == [0]
         assert label_points_dense(world, np.zeros(1), np.zeros(1))[0] == 0
 
     def test_outside_epsilon_is_minus_one(self):
         world = self._two_centre_world(radius_km=5.0)
         grid = CenterGridIndex(world.centers_lat, world.centers_lon, world.radius_km)
-        assert grid.label_point(3.0, 0.0) == -1
-        assert grid.label_point(0.0, 0.1) == 1
+        labels = grid.label_points(np.array([3.0, 0.0]), np.array([0.0, 0.1]))
+        assert labels.tolist() == [-1, 1]
 
     def test_point_far_outside_grid_box_short_circuits(self):
         world = self._two_centre_world(radius_km=5.0)
         grid = CenterGridIndex(world.centers_lat, world.centers_lon, world.radius_km)
         labels = grid.label_points(np.array([80.0, -80.0]), np.array([170.0, -170.0]))
         assert labels.tolist() == [-1, -1]
-
-
-class TestCentersIndexUpgrade:
-    def test_legacy_world_uses_brute_force(self):
-        world = world_for(Scale.NATIONAL, gazetteer=None)
-        assert isinstance(world.centers_index, BruteForceIndex)
-
-    def test_large_world_uses_grid(self):
-        world = World.from_scale(
-            Scale.METROPOLITAN, gazetteer="synth:2500@5"
-        )
-        assert world.n_areas > GRID_INDEX_THRESHOLD
-        assert isinstance(world.centers_index, GridIndex)
-
-    def test_grid_and_brute_force_answer_identically(self):
-        world = World.from_scale(
-            Scale.METROPOLITAN, gazetteer="synth:2500@5"
-        )
-        grid = world.centers_index
-        brute = BruteForceIndex(world.centers_lat, world.centers_lon)
-        rng = np.random.default_rng(13)
-        for _ in range(25):
-            center = (
-                float(rng.uniform(-45.0, -10.0)),
-                float(rng.uniform(112.0, 155.0)),
-            )
-            radius = float(rng.uniform(0.5, 120.0))
-            got = grid.query_radius(center, radius)
-            want = brute.query_radius(center, radius)
-            assert np.array_equal(got.indices, want.indices)
-            assert np.array_equal(got.distances_km, want.distances_km)
 
 
 class TestLegacyNeverRoutesThroughGenerator:

@@ -20,8 +20,14 @@ class TestScaleSpecs:
 
 class TestExperimentContext:
     def test_index_built_once(self, small_corpus):
+        """Each scale's centre index is built once across extractions."""
         context = ExperimentContext(small_corpus)
-        assert context.index is context.index
+        context.observations(Scale.NATIONAL)
+        grid = context.world(Scale.NATIONAL).center_grid
+        context.labels(Scale.NATIONAL)
+        context.observations(Scale.METROPOLITAN, 0.5)
+        assert context.world(Scale.NATIONAL).center_grid is grid
+        assert context.world(Scale.METROPOLITAN, 0.5) is context.world(Scale.METROPOLITAN, 0.5)
 
     def test_observations_cached(self, small_corpus):
         context = ExperimentContext(small_corpus)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.world import World
 from repro.data.corpus import TweetCorpus
 from repro.data.gazetteer import Area, Scale
 from repro.extraction.population import (
@@ -12,7 +13,6 @@ from repro.extraction.population import (
 )
 from repro.geo.coords import Coordinate
 from repro.geo.distance import destination_point
-from repro.geo.index import BruteForceIndex, GridIndex
 
 
 def _area(name, lat, lon, pop=1000):
@@ -74,16 +74,13 @@ class TestExtractAreaObservations:
             extract_area_observations(corpus, [AREA_A], radius_km=0.0)
 
     def test_prebuilt_index_reuse(self):
+        """A prebuilt World's centre index is reused, not rebuilt."""
         corpus = _corpus_at([(1, -33.0, 151.0)])
-        index = GridIndex(corpus.lats, corpus.lons)
-        obs = extract_area_observations(corpus, [AREA_A], 5.0, index=index)
+        world = World.from_areas([AREA_A], 5.0)
+        grid = world.center_grid
+        obs = extract_area_observations(corpus, world, 5.0)
         assert obs[0].n_tweets == 1
-
-    def test_wrong_index_size_raises(self):
-        corpus = _corpus_at([(1, -33.0, 151.0)])
-        wrong = BruteForceIndex(np.zeros(5), np.zeros(5))
-        with pytest.raises(ValueError):
-            extract_area_observations(corpus, [AREA_A], 5.0, index=wrong)
+        assert world.center_grid is grid
 
     def test_twitter_population_arrays(self):
         corpus = _corpus_at([(1, -33.0, 151.0)])

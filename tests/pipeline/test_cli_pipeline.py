@@ -18,11 +18,11 @@ class TestPipelineRun:
         captured = capsys.readouterr()
         assert "Table I" in captured.out
         assert "Table II" in captured.out
-        assert "8 executed, 0 cache hits" in captured.err
+        assert "7 executed, 0 cache hits" in captured.err
         manifests = list((tmp_path / "cache" / "runs").rglob("manifest.json"))
         assert len(manifests) == 1
         payload = json.loads(manifests[0].read_text())
-        assert payload["executed"] == 8
+        assert payload["executed"] == 7
 
     def test_warm_run_executes_nothing(self, tmp_path, capsys):
         main(["pipeline", "run", *ARGS, *_cache(tmp_path)])
@@ -30,7 +30,7 @@ class TestPipelineRun:
         code = main(["pipeline", "run", *ARGS, *_cache(tmp_path)])
         assert code == 0
         captured = capsys.readouterr()
-        assert "0 executed, 8 cache hits" in captured.err
+        assert "0 executed, 7 cache hits" in captured.err
         assert "Table II" in captured.out
 
     def test_jobs_flag(self, tmp_path, capsys):
@@ -61,19 +61,19 @@ class TestPipelineStatus:
     def test_status_before_and_after(self, tmp_path, capsys):
         assert main(["pipeline", "status", *ARGS, *_cache(tmp_path)]) == 0
         before = capsys.readouterr().out
-        assert "0/8 tasks cached" in before
+        assert "0/7 tasks cached" in before
         assert "missing" in before and "stale" in before
         main(["pipeline", "run", *ARGS, *_cache(tmp_path)])
         capsys.readouterr()
         assert main(["pipeline", "status", *ARGS, *_cache(tmp_path)]) == 0
         after = capsys.readouterr().out
-        assert "8/8 tasks cached" in after
+        assert "7/7 tasks cached" in after
 
     def test_status_distinguishes_configs(self, tmp_path, capsys):
         main(["pipeline", "run", *ARGS, *_cache(tmp_path)])
         capsys.readouterr()
         main(["pipeline", "status", "--users", "501", "--seed", "9", *_cache(tmp_path)])
-        assert "0/8 tasks cached" in capsys.readouterr().out
+        assert "0/7 tasks cached" in capsys.readouterr().out
 
 
 class TestPipelineClean:
@@ -83,7 +83,7 @@ class TestPipelineClean:
         assert main(["pipeline", "clean", *_cache(tmp_path)]) == 0
         assert "removed" in capsys.readouterr().out
         assert main(["pipeline", "status", *ARGS, *_cache(tmp_path)]) == 0
-        assert "0/8 tasks cached" in capsys.readouterr().out
+        assert "0/7 tasks cached" in capsys.readouterr().out
 
 
 class TestExperimentAllDelegation:
@@ -92,11 +92,11 @@ class TestExperimentAllDelegation:
         assert code == 0
         first = capsys.readouterr()
         assert "Table II" in first.out
-        assert "8 executed" in first.err
+        assert "7 executed" in first.err
         code = main(["experiment", "all", *ARGS, *_cache(tmp_path)])
         assert code == 0
         second = capsys.readouterr()
-        assert "0 executed, 8 cache hits" in second.err
+        assert "0 executed, 7 cache hits" in second.err
         assert second.out == first.out
 
     def test_experiment_all_no_cache_path(self, tmp_path, capsys):

@@ -26,21 +26,21 @@ def store(tmp_path):
 class TestCacheCorrectness:
     def test_cold_then_warm(self, store):
         suite, cold = run_suite(config=CFG, store=store)
-        assert cold.manifest.executed == 8
+        assert cold.manifest.executed == 7
         warm_suite, warm = run_suite(config=CFG, store=store)
         assert warm.manifest.executed == 0
-        assert warm.manifest.hits == 8
+        assert warm.manifest.hits == 7
         assert warm_suite.render() == suite.render()
 
     def test_config_field_change_invalidates(self, store):
         run_suite(config=CFG, store=store)
         _, run = run_suite(config=SynthConfig(n_users=500, seed=10), store=store)
-        assert run.manifest.executed == 8
+        assert run.manifest.executed == 7
         # And a non-seed field too: the whole SynthConfig is in the key.
         _, run2 = run_suite(
             config=SynthConfig(n_users=500, seed=9, p_move=0.2), store=store
         )
-        assert run2.manifest.executed == 8
+        assert run2.manifest.executed == 7
 
     def test_version_bump_reruns_one_node(self, store, monkeypatch):
         run_suite(config=CFG, store=store)
@@ -48,7 +48,7 @@ class TestCacheCorrectness:
         _, run = run_suite(config=CFG, store=store)
         # Only the re-versioned leaf runs; everything upstream hits.
         assert run.manifest.executed == 1
-        assert run.manifest.hits == 7
+        assert run.manifest.hits == 6
         record = {r.name: r.status for r in run.manifest.records}
         assert record["table2"] == "run"
         assert record["fig4"] == "hit"
@@ -77,13 +77,13 @@ class TestCorpusFileSource:
         csv_path = tmp_path / "corpus.csv"
         main(["generate", "--users", "500", "--seed", "9", "--out", str(csv_path)])
         _, cold = run_suite(corpus_path=str(csv_path), store=store)
-        assert cold.manifest.executed == 8
+        assert cold.manifest.executed == 7
         _, warm = run_suite(corpus_path=str(csv_path), store=store)
         assert warm.manifest.executed == 0
         # Rewriting the file with different content invalidates everything.
         main(["generate", "--users", "500", "--seed", "10", "--out", str(csv_path)])
         _, changed = run_suite(corpus_path=str(csv_path), store=store)
-        assert changed.manifest.executed == 8
+        assert changed.manifest.executed == 7
 
     def test_malformed_corpus_fails_with_task_name(self, store, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -97,7 +97,7 @@ class TestSuitePipelineShape:
     def test_dag_validates_and_names(self):
         pipeline = suite_pipeline(config=CFG)
         assert set(pipeline.names) == {
-            "corpus", "index", "table1", "fig1", "fig2", "fig3", "fig4", "table2",
+            "corpus", "table1", "fig1", "fig2", "fig3", "fig4", "table2",
         }
 
     def test_parallel_run_matches_serial(self, tmp_path):
@@ -116,4 +116,4 @@ class TestSuitePipelineShape:
         run_suite(config=CFG, store=store)
         executor = Executor(store=store, force=True)
         run = executor.run(suite_pipeline(config=CFG))
-        assert run.manifest.executed == 8
+        assert run.manifest.executed == 7

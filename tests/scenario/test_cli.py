@@ -24,12 +24,12 @@ class TestScenarioRun:
         assert _run(tmp_path, "scenario", "run", "lockdown-hard") == 0
         first = capsys.readouterr()
         assert "lockdown-hard" in first.out
-        assert "4 executed" in first.err
+        assert "3 executed" in first.err
 
         assert _run(tmp_path, "scenario", "run", "lockdown-hard") == 0
         second = capsys.readouterr()
         assert "0 executed" in second.err
-        assert "4 cache hits" in second.err
+        assert "3 cache hits" in second.err
         # The cached result renders identically.
         assert second.out == first.out
 

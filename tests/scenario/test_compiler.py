@@ -27,13 +27,12 @@ def _tiny(name: str, **overrides) -> ScenarioConfig:
 
 
 class TestPipelineShape:
-    def test_single_scenario_compiles_to_four_nodes(self):
+    def test_single_scenario_compiles_to_three_nodes(self):
         config = _tiny("t")
         pipeline = scenario_pipeline(config)
         names = set(pipeline.names)
         assert names == {
             "corpus",
-            "index",
             network_task_name(config),
             f"scenario-{config.name}",
         }
@@ -52,15 +51,15 @@ class TestPipelineShape:
     def test_comparison_dedupes_shared_network_nodes(self):
         members = (_tiny("a"), _tiny("b"))
         pipeline = comparison_pipeline(members)
-        # One corpus, one index, ONE network (same world/model), two
-        # scenario nodes and the compare join: six tasks total.
-        assert len(pipeline.names) == 6
+        # One corpus, ONE network (same world/model), two scenario
+        # nodes and the compare join: five tasks total.
+        assert len(pipeline.names) == 5
         assert "compare" in pipeline
 
     def test_comparison_keeps_distinct_network_nodes(self):
         members = (_tiny("a"), _tiny("b", model={"kind": "radiation"}))
         pipeline = comparison_pipeline(members)
-        assert len(pipeline.names) == 7
+        assert len(pipeline.names) == 6
 
     def test_comparison_needs_two_members(self):
         with pytest.raises(ScenarioConfigError, match="at least two"):
@@ -81,25 +80,25 @@ class TestCaching:
         store = ArtifactStore(tmp_path / "cache")
         config = _tiny("t")
         cold_result, cold = run_scenario(config, store=store)
-        assert cold.manifest.executed == 4
+        assert cold.manifest.executed == 3
         assert cold.manifest.ok
 
         warm_result, warm = run_scenario(config, store=store)
         assert warm.manifest.executed == 0
-        assert warm.manifest.hits == 4
+        assert warm.manifest.hits == 3
         assert warm_result.outputs["total_infected"] == cold_result.outputs["total_infected"]
 
     def test_scenarios_share_corpus_and_network_artifacts(self, tmp_path):
         store = ArtifactStore(tmp_path / "cache")
         _, first = run_scenario(_tiny("a"), store=store)
-        assert first.manifest.executed == 4
+        assert first.manifest.executed == 3
         # Same world/model: only the scenario node itself runs.
         _, second = run_scenario(
             _tiny("b", interventions=[{"kind": "travel_scaling", "factor": 0.5}]),
             store=store,
         )
         assert second.manifest.executed == 1
-        assert second.manifest.hits == 3
+        assert second.manifest.hits == 2
 
     def test_comparison_reuses_member_scenario_artifacts(self, tmp_path):
         store = ArtifactStore(tmp_path / "cache")
@@ -113,7 +112,7 @@ class TestCaching:
         comparison, run = run_comparison(members, store=store, jobs=2)
         # Everything but the join node is already cached.
         assert run.manifest.executed == 1
-        assert run.manifest.hits == 5
+        assert run.manifest.hits == 4
         assert comparison.baseline.name == "a"
         assert [result.name for result in comparison.results] == ["a", "b"]
 
@@ -122,5 +121,5 @@ class TestCaching:
         config = _tiny("t")
         run_scenario(config, store=store)
         _, forced = run_scenario(config, store=store, force=True)
-        assert forced.manifest.executed == 4
+        assert forced.manifest.executed == 3
         assert forced.manifest.hits == 0
