@@ -23,13 +23,14 @@ step on the ROADMAP's perf-trajectory ratchet).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import subprocess
 import sys
 import time
 from pathlib import Path
+
+from _gate import DEFAULT_SLACK, calibrate
 
 from repro.check.lockmodel import LockAnalysis
 from repro.check.rules import RULE_FACTORIES
@@ -38,24 +39,8 @@ from repro.check.walker import iter_source_files
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: Calibration loop: single-threaded blake2b over this many blocks.
-CALIBRATION_BLOCKS = 50_000
-
 #: Timing repetitions; the minimum is reported (noise resistant).
 REPEATS = 3
-
-#: Default headroom multiplier for the --check-against gate.
-DEFAULT_SLACK = 2.0
-
-
-def calibrate() -> float:
-    """Seconds for a fixed single-threaded hash loop on this machine."""
-    payload = b"x" * 4096
-    start = time.perf_counter()
-    digest = b""
-    for _ in range(CALIBRATION_BLOCKS):
-        digest = hashlib.blake2b(payload + digest, digest_size=16).digest()
-    return time.perf_counter() - start
 
 
 def _time(fn, prepare=lambda: None) -> float:

@@ -23,7 +23,6 @@ only when the host actually has that many cores to scale onto.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -31,6 +30,8 @@ import tempfile
 import threading
 import time
 import urllib.request
+
+from _gate import calibrate
 
 from repro.cluster import ClusterConfig, ClusterSupervisor, HashRing
 from repro.data.gazetteer import Scale, areas_for_scale
@@ -47,9 +48,6 @@ DEFAULT_REQUESTS = 400
 #: Per-ingest-request batch size (tweets).
 BATCH = 20
 
-#: Calibration loop: single-threaded blake2b over this many blocks.
-CALIBRATION_BLOCKS = 50_000
-
 #: Minimum fraction of ideal (linear) scaling demanded at N workers.
 MIN_SCALING_FRACTION = 0.7
 
@@ -62,16 +60,6 @@ MAX_P99_MS = 500.0
 
 def cores() -> int:
     return len(os.sched_getaffinity(0))
-
-
-def calibrate() -> float:
-    """Seconds for a fixed single-threaded hash loop on this machine."""
-    payload = b"x" * 4096
-    start = time.perf_counter()
-    digest = b""
-    for _ in range(CALIBRATION_BLOCKS):
-        digest = hashlib.blake2b(payload + digest, digest_size=16).digest()
-    return time.perf_counter() - start
 
 
 def _percentile(sorted_values: list[float], q: float) -> float:

@@ -32,13 +32,13 @@ micro-batched path is at least :data:`MIN_SPEEDUP`× faster.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+from _gate import DEFAULT_SLACK, calibrate
 
 from repro.core.label import label_points
 from repro.core.world import World
@@ -56,22 +56,6 @@ DEFAULT_BATCH_SIZE = 1024
 #: Acceptance floor: micro-batched labelling must beat the legacy
 #: per-tweet scalar path by at least this factor.
 MIN_SPEEDUP = 5.0
-
-#: Calibration loop: single-threaded blake2b over this many blocks.
-CALIBRATION_BLOCKS = 50_000
-
-#: Default headroom multiplier for the --check-against gate.
-DEFAULT_SLACK = 2.0
-
-
-def calibrate() -> float:
-    """Seconds for a fixed single-threaded hash loop on this machine."""
-    payload = b"x" * 4096
-    start = time.perf_counter()
-    digest = b""
-    for _ in range(CALIBRATION_BLOCKS):
-        digest = hashlib.blake2b(payload + digest, digest_size=16).digest()
-    return time.perf_counter() - start
 
 
 def _legacy_scalar_label(world: World, lat: float, lon: float) -> int:

@@ -45,7 +45,6 @@ become the ``pre_change`` block, with speed-ups).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import shutil
 import sys
@@ -54,6 +53,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+from _gate import DEFAULT_SLACK, calibrate
 
 from repro import obs
 from repro.data.gazetteer import Scale
@@ -90,26 +90,10 @@ STAGES = {
     "persist": ("summary.persist", None),
 }
 
-#: Calibration loop: single-threaded blake2b over this many blocks.
-CALIBRATION_BLOCKS = 50_000
-
-#: Default headroom multiplier for the --check-against gate.
-DEFAULT_SLACK = 2.0
-
 #: Tiles persist to a RAM-backed directory where the host has one: the
 #: calibration loop normalizes CPU speed, not disk speed, and on a disk
 #: the persist stage alone swings several-fold between runs.
 TILE_DIR = "/dev/shm" if Path("/dev/shm").is_dir() else None
-
-
-def calibrate() -> float:
-    """Seconds for a fixed single-threaded hash loop on this machine."""
-    payload = b"x" * 4096
-    start = time.perf_counter()
-    digest = b""
-    for _ in range(CALIBRATION_BLOCKS):
-        digest = hashlib.blake2b(payload + digest, digest_size=16).digest()
-    return time.perf_counter() - start
 
 
 def paper_density_stream(gazetteer: str, seed: int, n_tweets: int) -> list[dict]:

@@ -13,6 +13,19 @@ Emits a JSON summary (stdout or ``--out``), e.g.::
 
     python benchmarks/bench_pipeline.py --users 25000 --jobs 4 --out p1.json
 
+Besides the whole runs, the summary breaks the cold run down per task
+from its own manifest (``cold_tasks``).  Numbers are
+**machine-normalized** by the shared ``_gate`` helpers: a fixed
+single-threaded hashing calibration loop is timed first and the cold
+run, the warm run and every task are also reported as a ratio
+against it.
+``--check-against`` turns the committed ``BENCH_pipeline.json`` into a
+regression gate: each normalized row may not exceed twice the
+baseline's (``_gate.DEFAULT_SLACK``).  Rows whose baseline is under
+:data:`MIN_GATED_NORMALIZED` (tens of milliseconds or less: the warm
+run and the smallest artefact tasks) are reported but not gated, since
+timer and scheduler noise alone can double them.
+
 The script asserts the acceptance guarantees while measuring: the warm
 run executes zero task bodies and is faster than the cold run, the
 parallel run's corpus digest equals the serial run's (bit-identical
@@ -27,6 +40,9 @@ import json
 import sys
 import tempfile
 import time
+from pathlib import Path
+
+from _gate import DEFAULT_SLACK, calibrate, gate_rows, timed_row
 
 from repro import obs
 from repro.pipeline import ArtifactStore, run_suite
@@ -37,6 +53,10 @@ DEFAULT_SEED = 20150413
 
 #: Acceptance ceiling for the cost of disabled observability hooks.
 MAX_DISABLED_OVERHEAD_PCT = 2.0
+
+#: Rows whose baseline normalized time is below this (15-30 ms on hosts
+#: whose calibration loop takes 0.3-0.6 s) are reported, not gated.
+MIN_GATED_NORMALIZED = 0.05
 
 
 def _timed_run(config: SynthConfig, store: ArtifactStore, jobs: int):
@@ -97,6 +117,7 @@ def _disabled_call_seconds(iterations: int = 100_000) -> float:
 
 def run_benchmark(users: int, seed: int, jobs: int, cache_dir: str) -> dict:
     """Cold vs warm vs parallel timings plus manifest-derived counters."""
+    calibration_seconds = calibrate()
     config = SynthConfig(n_users=users, seed=seed)
 
     cold_store = ArtifactStore(cache_dir + "/cold")
@@ -125,11 +146,16 @@ def run_benchmark(users: int, seed: int, jobs: int, cache_dir: str) -> dict:
     )
 
     return {
+        "machine": {"calibration_seconds": round(calibration_seconds, 4)},
         "users": users,
         "seed": seed,
         "jobs": jobs,
-        "cold_seconds": round(cold_seconds, 3),
-        "warm_seconds": round(warm_seconds, 3),
+        "cold": timed_row(cold_seconds, calibration_seconds),
+        "warm": timed_row(warm_seconds, calibration_seconds),
+        "cold_tasks": {
+            record.name: timed_row(record.seconds, calibration_seconds)
+            for record in cold.manifest.records
+        },
         "parallel_seconds": round(parallel_seconds, 3),
         "cold_tasks_executed": cold.manifest.executed,
         "warm_tasks_executed": warm.manifest.executed,
@@ -145,6 +171,29 @@ def run_benchmark(users: int, seed: int, jobs: int, cache_dir: str) -> dict:
     }
 
 
+def enforce_gate(summary: dict, baseline_path: Path) -> None:
+    """Fail if a gated normalized row regressed past the slack."""
+    baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
+    assert all(summary[key] == baseline[key] for key in ("users", "seed")), (
+        "baseline and measurement run different workloads "
+        f"({baseline['users']} vs {summary['users']} users) — rerun with the "
+        "baseline's --users/--seed"
+    )
+    rows = {
+        name: (summary[name]["normalized"], baseline[name]["normalized"])
+        for name in ("cold", "warm")
+    }
+    for name, row in summary["cold_tasks"].items():
+        rows[f"task.{name}"] = (
+            row["normalized"], baseline["cold_tasks"][name]["normalized"]
+        )
+    summary["gate"], failures = gate_rows(rows, MIN_GATED_NORMALIZED)
+    assert not failures, (
+        f"normalized pipeline time exceeds the committed baseline x "
+        f"{DEFAULT_SLACK} — the cold pipeline regressed: " + "; ".join(failures)
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--users", type=int, default=DEFAULT_USERS)
@@ -154,6 +203,11 @@ def main(argv: list[str] | None = None) -> int:
         "--cache-dir", help="benchmark cache root (default: a temp dir)"
     )
     parser.add_argument("--out", help="write the JSON summary here (else stdout)")
+    parser.add_argument(
+        "--check-against",
+        type=Path,
+        help="committed BENCH_pipeline.json to gate the normalized rows against",
+    )
     args = parser.parse_args(argv)
 
     if args.cache_dir:
@@ -161,6 +215,8 @@ def main(argv: list[str] | None = None) -> int:
     else:
         with tempfile.TemporaryDirectory(prefix="repro-bench-") as cache_dir:
             summary = run_benchmark(args.users, args.seed, args.jobs, cache_dir)
+    if args.check_against:
+        enforce_gate(summary, args.check_against)
 
     text = json.dumps(summary, indent=2)
     if args.out:
@@ -184,7 +240,10 @@ def test_pipeline_cold_warm_parallel(tmp_path):
     print()
     print(json.dumps(summary, indent=2))
     assert summary["warm_tasks_executed"] == 0
-    assert summary["warm_seconds"] < summary["cold_seconds"]
+    assert summary["warm"]["seconds"] < summary["cold"]["seconds"]
+    assert set(summary["cold_tasks"]) == {
+        "corpus", "table1", "fig1", "fig2", "fig3", "fig4", "table2",
+    }
     assert summary["sharded_corpus_identical"]
     assert summary["obs_calls_cold_run"] > 0
     assert summary["disabled_overhead_pct"] < MAX_DISABLED_OVERHEAD_PCT

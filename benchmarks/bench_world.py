@@ -23,12 +23,12 @@ acceptance bar: the grid index must beat the dense kernel by ≥5× at
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
 
 import numpy as np
+from _gate import calibrate
 
 from repro.core.label import label_points_dense
 from repro.core.world import World
@@ -45,24 +45,11 @@ WORLDS = (
     ("synth-5k", "synth:5000"),
 )
 
-#: Calibration loop: single-threaded blake2b over this many blocks.
-CALIBRATION_BLOCKS = 50_000
-
 #: Acceptance bar: grid speedup over dense at the 5k-area world.
 MIN_SPEEDUP_AT_5K = 5.0
 
 #: Timing repetitions; the minimum is reported (noise resistant).
 REPEATS = 3
-
-
-def calibrate() -> float:
-    """Seconds for a fixed single-threaded hash loop on this machine."""
-    payload = b"x" * 4096
-    start = time.perf_counter()
-    digest = b""
-    for _ in range(CALIBRATION_BLOCKS):
-        digest = hashlib.blake2b(payload + digest, digest_size=16).digest()
-    return time.perf_counter() - start
 
 
 def _point_cloud(n_points: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -183,15 +183,28 @@ class TweetCorpus:
         Table I reports 4.76 average locations per user; locations are
         compared after rounding to ``round_decimals`` decimal degrees
         (1e-4 degrees ≈ 11 m, i.e. venue resolution).
+
+        One pass over the whole corpus: sort the rows by (user, lat,
+        lon), mark each row where that triple changes, and count the
+        marks per user.  Values compare with ``!=``, so -0.0 and 0.0 are
+        one location — the same answer as a per-user
+        ``np.unique(axis=0)`` over the rounded pairs.
         """
+        n = len(self)
+        if n == 0:
+            return np.empty(0, dtype=np.int64)
         lats = np.round(self.lats, round_decimals)
         lons = np.round(self.lons, round_decimals)
-        counts = np.empty(self.n_users, dtype=np.int64)
-        for i, (start, count) in enumerate(zip(self._user_starts, self._user_counts)):
-            stop = start + count
-            pairs = np.stack([lats[start:stop], lons[start:stop]], axis=1)
-            counts[i] = np.unique(pairs, axis=0).shape[0]
-        return counts
+        order = np.lexsort((lons, lats, self.user_ids))
+        users, lats, lons = self.user_ids[order], lats[order], lons[order]
+        changed = np.empty(n, dtype=bool)
+        changed[0] = True
+        np.not_equal(users[1:], users[:-1], out=changed[1:])
+        changed[1:] |= lats[1:] != lats[:-1]
+        changed[1:] |= lons[1:] != lons[:-1]
+        # Sorted rows are grouped by user in unique_users order.
+        ranks = np.repeat(np.arange(self.n_users), self._user_counts)
+        return np.bincount(ranks[changed], minlength=self.n_users)
 
     def user_summaries(self) -> list[UserSummary]:
         """Per-user aggregate records (Table I per-user columns)."""

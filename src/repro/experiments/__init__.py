@@ -14,48 +14,51 @@ text the benchmark harness prints.
 * ``runner`` — run everything on one corpus
 """
 
-from repro.experiments.distance import DistanceAnalysisResult, run_distance_analysis
-from repro.experiments.epidemic_forecast import ForecastResult, run_forecast_experiment
-from repro.experiments.fig1 import Fig1Result, run_fig1
-from repro.experiments.fig2 import Fig2Result, run_fig2
-from repro.experiments.fig3 import Fig3Result, run_fig3
-from repro.experiments.fig4 import Fig4Result, run_fig4
-from repro.experiments.ground_truth import (
-    GroundTruthResult,
-    run_ground_truth_validation,
-    true_area_flows,
-)
-from repro.experiments.report import generate_report, reproduction_checklist
-from repro.experiments.runner import ExperimentSuiteResult, run_all_experiments
-from repro.experiments.scales import ExperimentContext, ScaleSpec, default_scale_specs
-from repro.experiments.table1 import Table1Result, run_table1
-from repro.experiments.table2 import Table2Result, run_table2
+import importlib
 
-__all__ = [
-    "DistanceAnalysisResult",
-    "ExperimentContext",
-    "ExperimentSuiteResult",
-    "Fig1Result",
-    "ForecastResult",
-    "Fig2Result",
-    "Fig3Result",
-    "Fig4Result",
-    "GroundTruthResult",
-    "ScaleSpec",
-    "Table1Result",
-    "Table2Result",
-    "default_scale_specs",
-    "generate_report",
-    "reproduction_checklist",
-    "run_all_experiments",
-    "run_distance_analysis",
-    "run_forecast_experiment",
-    "run_fig1",
-    "run_fig2",
-    "run_fig3",
-    "run_fig4",
-    "run_ground_truth_validation",
-    "run_table1",
-    "run_table2",
-    "true_area_flows",
-]
+#: Public name -> defining module, imported on first attribute access,
+#: so ``import repro.experiments.fig3`` (the pipeline's path) loads fig3
+#: alone rather than every experiment, ``repro.epidemic`` and networkx.
+_LAZY = {
+    "DistanceAnalysisResult": "repro.experiments.distance",
+    "run_distance_analysis": "repro.experiments.distance",
+    "ForecastResult": "repro.experiments.epidemic_forecast",
+    "run_forecast_experiment": "repro.experiments.epidemic_forecast",
+    "Fig1Result": "repro.experiments.fig1",
+    "run_fig1": "repro.experiments.fig1",
+    "Fig2Result": "repro.experiments.fig2",
+    "run_fig2": "repro.experiments.fig2",
+    "Fig3Result": "repro.experiments.fig3",
+    "run_fig3": "repro.experiments.fig3",
+    "Fig4Result": "repro.experiments.fig4",
+    "run_fig4": "repro.experiments.fig4",
+    "GroundTruthResult": "repro.experiments.ground_truth",
+    "run_ground_truth_validation": "repro.experiments.ground_truth",
+    "true_area_flows": "repro.experiments.ground_truth",
+    "generate_report": "repro.experiments.report",
+    "reproduction_checklist": "repro.experiments.report",
+    "ExperimentSuiteResult": "repro.experiments.runner",
+    "run_all_experiments": "repro.experiments.runner",
+    "ExperimentContext": "repro.experiments.scales",
+    "ScaleSpec": "repro.experiments.scales",
+    "default_scale_specs": "repro.experiments.scales",
+    "Table1Result": "repro.experiments.table1",
+    "run_table1": "repro.experiments.table1",
+    "Table2Result": "repro.experiments.table2",
+    "run_table2": "repro.experiments.table2",
+}
+
+__all__ = sorted(_LAZY)
+
+
+def __getattr__(name: str) -> object:
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro.experiments' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))

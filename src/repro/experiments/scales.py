@@ -10,11 +10,11 @@ world's centre index exactly once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.core.world import World
 from repro.data.corpus import TweetCorpus
 from repro.data.gazetteer import Area, Scale
-from repro.epidemic.network import MobilityNetwork, network_from_model
 from repro.extraction.mobility import ODFlows, extract_od_flows
 from repro.extraction.population import (
     AreaObservation,
@@ -22,6 +22,9 @@ from repro.extraction.population import (
     extract_area_observations,
 )
 from repro.models.registry import fit_kind
+
+if TYPE_CHECKING:
+    from repro.epidemic.network import MobilityNetwork
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,6 +150,10 @@ class ExperimentContext:
         the world's cached centre-distance matrix, so repeated scenario
         evaluations over one context fit each (scale, kind) pair once.
         """
+        # Deferred: repro.epidemic pulls in networkx, which the paper's
+        # figures never need.
+        from repro.epidemic.network import network_from_model
+
         key = (scale, model, trips_per_person_per_day)
         if key not in self._networks:
             fitted = fit_kind(model, self.flows(scale))

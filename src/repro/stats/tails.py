@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from repro.stats.powerlaw import fit_power_law_mle
 
@@ -115,8 +114,10 @@ def compare_power_law_lognormal(
         normalized = 0.0
         p_value = 1.0
     else:
+        from scipy import stats  # deferred: ~1 s to import, off the pipeline path
+
         normalized = ratio / (spread * np.sqrt(n))
-        p_value = float(2.0 * _scipy_stats.norm.sf(abs(normalized)))
+        p_value = float(2.0 * stats.norm.sf(abs(normalized)))
     return TailComparison(
         alpha=power.alpha,
         lognormal=lognormal,
@@ -137,5 +138,7 @@ def ks_two_sample(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     b = np.asarray(b, dtype=np.float64)
     if a.size == 0 or b.size == 0:
         raise ValueError("both samples must be non-empty")
-    result = _scipy_stats.ks_2samp(a, b)
+    from scipy import stats  # deferred: ~1 s to import, off the pipeline path
+
+    result = stats.ks_2samp(a, b)
     return float(result.statistic), float(result.pvalue)

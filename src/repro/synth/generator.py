@@ -22,6 +22,10 @@ Per user the pipeline is:
    edge, which perturbs at most one waiting-time pair per user);
 4. walk the gravity travel process to assign a site to every tweet;
 5. post each tweet from one of the user's favourite points at that site.
+
+The per-tweet loop works on plain floats and consumes each user's
+stream in exactly this order; the tests pin its output bytes by digest,
+so cached corpora and goldens stay valid.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from typing import Callable
 import numpy as np
 
 from repro.data.corpus import TweetCorpus
+from repro.geo.coords import CoordinateError
 from repro.synth.config import SynthConfig
 from repro.synth.distributions import DiscretePowerLaw, TruncatedPareto
 from repro.synth.diurnal import DiurnalPattern
@@ -129,6 +134,22 @@ def _shard_bounds(counts: np.ndarray, jobs: int) -> list[tuple[int, int]]:
             bounds.append((lo, hi))
             lo = hi
     return bounds
+
+
+def _check_positions(lats: np.ndarray, lons: np.ndarray) -> None:
+    """:class:`Coordinate`'s per-point checks, applied once per column.
+
+    Latitudes must be finite and in [-90, 90]; longitudes must be finite
+    (the fill already wrapped them into [-180, 180)).
+    """
+    bad = ~((lats >= -90.0) & (lats <= 90.0))  # NaN fails both comparisons
+    if bad.any():
+        raise CoordinateError(
+            f"latitude must be finite and in [-90, 90], got {float(lats[bad][0])!r}"
+        )
+    bad = ~np.isfinite(lons)
+    if bad.any():
+        raise CoordinateError(f"longitude must be finite, got {float(lons[bad][0])!r}")
 
 
 def _generate_shard(
@@ -245,20 +266,26 @@ class SyntheticCorpusGenerator:
         hi: int,
         progress: Callable[[int, int], None] | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Fill users ``[lo, hi)``; timestamps are window offsets (no epoch)."""
+        """Fill users ``[lo, hi)``; timestamps are window offsets (no epoch).
+
+        Positions are collected as ``(lat, lon)`` tuples, one per row
+        (a re-used favourite appends the same tuple), and become columns
+        once at the end.  A latitude outside [-90, 90] or a non-finite
+        coordinate raises :class:`~repro.geo.coords.CoordinateError`.
+        """
         config = self.config
-        world = plan.world
         counts = plan.counts
         total = int(counts[lo:hi].sum())
 
         user_col = np.empty(total, dtype=np.int64)
         ts_col = np.empty(total, dtype=np.float64)
-        lat_col = np.empty(total, dtype=np.float64)
-        lon_col = np.empty(total, dtype=np.float64)
         site_col = np.empty(total, dtype=np.int64)
 
         window = config.end_ts - config.start_ts
+        sites = plan.world.sites
         favorites = FavoritePointStore(config)
+        point_for_tweet = favorites.point_for_tweet
+        points: list[tuple[float, float]] = []
         cursor = 0
         for user in range(lo, hi):
             rng = _user_stream(plan.users_ss, user)
@@ -270,24 +297,20 @@ class SyntheticCorpusGenerator:
                 # Bots: uniform-rate posting from one exact point at home.
                 ts_col[sl] = rng.uniform(0.0, window, k)
                 site_col[sl] = home
-                point = scatter_point(world.sites[home], rng)
-                lat_col[sl] = point.lat
-                lon_col[sl] = point.lon
+                points.extend([scatter_point(sites[home], rng)] * k)
             else:
                 ts_col[sl] = self._user_timestamps(k, window, rng)
                 site_seq = self._user_site_sequence(k, home, plan.kernel, rng)
                 site_col[sl] = site_seq
                 favorites.reset_user()
-                for j in range(k):
-                    site_index = int(site_seq[j])
-                    lat, lon = favorites.point_for_tweet(
-                        site_index, world.sites[site_index], rng
-                    )
-                    lat_col[cursor + j] = lat
-                    lon_col[cursor + j] = lon
+                points.extend([
+                    point_for_tweet(site, sites[site], rng) for site in site_seq.tolist()
+                ])
             cursor += k
             if progress is not None and (user + 1) % 5000 == 0:
                 progress(user + 1, config.n_users)
+        lat_col, lon_col = np.array(points, dtype=np.float64).reshape(total, 2).T
+        _check_positions(lat_col, lon_col)
         return user_col, ts_col, lat_col, lon_col, site_col
 
     def _user_timestamps(
@@ -300,7 +323,7 @@ class SyntheticCorpusGenerator:
         collection period (as in the paper's Table I) at the cost of at
         most one disrupted waiting-time pair per user.
         """
-        start = rng.uniform(0.0, window)
+        start = window * rng.random()  # == rng.uniform(0.0, window), bit for bit
         if k == 1:
             return np.array([start])
         waits = self._wait_dist.sample(rng, k - 1)

@@ -27,12 +27,13 @@ makes the ε = 0.5 km extraction of Fig 3(b) noticeably worse than
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.data.gazetteer import Area, Scale, areas_for_scale, gazetteer_from_spec
-from repro.geo.coords import Coordinate
+from repro.geo.coords import Coordinate, validate_latitude, validate_longitude
 from repro.geo.distance import destination_point, haversine_km, pairwise_distance_matrix
 from repro.synth.config import SynthConfig
 
@@ -50,6 +51,13 @@ class Hotspots:
     This clumping is what makes a 0.5 km search radius (Fig 3b) so much
     noisier than a 2 km one — whether a suburb's dominant hotspot falls
     inside the small disc is close to a coin flip.
+
+    Construction also precomputes the plain-float tables the generator's
+    per-tweet loop reads: the popularity CDF as a list (for
+    ``bisect_right``, which picks the same index as
+    ``np.searchsorted(..., side="right")``), the anchors exactly as a
+    validated :class:`Coordinate` would hold them (longitudes wrapped
+    into [-180, 180)), and ``max(cos φ, 1e-9)`` per anchor.
     """
 
     def __init__(self, lats: np.ndarray, lons: np.ndarray, weights: np.ndarray) -> None:
@@ -60,18 +68,20 @@ class Hotspots:
             raise ValueError("hotspots need equal-length non-empty arrays")
         if np.any(weights < 0) or weights.sum() <= 0:
             raise ValueError("hotspot weights must be non-negative and sum > 0")
-        self.lats = lats
-        self.lons = lons
         self.weights = weights / weights.sum()
-        self._cdf = np.cumsum(self.weights)
-        self._cdf[-1] = 1.0
+        cdf = np.cumsum(self.weights)
+        cdf[-1] = 1.0
+        self._cdf = cdf.tolist()
+        self.lats = [validate_latitude(lat) for lat in lats.tolist()]
+        self.lons = [validate_longitude(lon) for lon in lons.tolist()]
+        self.cos_lats = [max(math.cos(math.radians(lat)), 1e-9) for lat in self.lats]
 
     def __len__(self) -> int:
-        return int(self.lats.size)
+        return len(self.lats)
 
     def sample_index(self, rng: np.random.Generator) -> int:
         """Draw one hotspot index by popularity."""
-        return int(np.searchsorted(self._cdf, rng.random(), side="right"))
+        return bisect_right(self._cdf, rng.random())
 
 
 @dataclass(frozen=True, slots=True, eq=False)

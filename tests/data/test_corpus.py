@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data.corpus import TweetCorpus
 from repro.data.schema import Tweet
@@ -106,6 +108,99 @@ class TestLocations:
         assert summaries[1].n_tweets == 3
         assert summaries[1].active_span_seconds == 7200.0
         assert summaries[2].n_distinct_locations == 1
+
+
+def _locations_oracle(corpus: TweetCorpus, round_decimals: int = 4) -> np.ndarray:
+    """The per-user ``np.unique(axis=0)`` loop the vectorised count replaced."""
+    lats = np.round(corpus.lats, round_decimals)
+    lons = np.round(corpus.lons, round_decimals)
+    counts = np.empty(corpus.n_users, dtype=np.int64)
+    for i, user in enumerate(corpus.unique_users):
+        rows = corpus.user_slice(int(user))
+        pairs = np.stack([lats[rows], lons[rows]], axis=1)
+        counts[i] = np.unique(pairs, axis=0).shape[0]
+    return counts
+
+
+#: Coordinates that collide exactly, round together or apart at 4
+#: decimals (the .00005 edges), and both signed zeros.
+_EDGE_VALUES = [
+    0.0, -0.0, 1e-5, -1e-5, 4.9e-5, -4.9e-5, 5.1e-5, -5.1e-5,
+    -33.86785, -33.86784999, -33.86785001, -33.8678, -33.8679,
+    151.20732, 151.207315, 151.207325, 151.2073, 151.2074, -180.0, 179.99999,
+]
+_coordinate = st.one_of(
+    st.sampled_from(_EDGE_VALUES),
+    st.floats(min_value=-90.0, max_value=90.0, allow_nan=False),
+)
+
+
+def _corpus(rows: list[tuple[int, float, float]]) -> TweetCorpus:
+    n = len(rows)
+    return TweetCorpus.from_arrays(
+        user_ids=np.array([r[0] for r in rows], dtype=np.int64),
+        timestamps=np.arange(n, dtype=np.float64)[::-1].copy(),
+        lats=np.array([r[1] for r in rows], dtype=np.float64),
+        lons=np.array([r[2] for r in rows], dtype=np.float64),
+    )
+
+
+class TestLocationsOracle:
+    """The one-pass location count equals the per-user ``np.unique`` loop."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 6), _coordinate, _coordinate), max_size=60))
+    def test_equals_per_user_unique(self, rows):
+        corpus = _corpus(rows)
+        expected = _locations_oracle(corpus)
+        got = corpus.distinct_locations_per_user()
+        assert got.dtype == np.int64
+        assert got.tolist() == expected.tolist()
+        summaries = corpus.user_summaries()
+        assert [s.n_distinct_locations for s in summaries] == expected.tolist()
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 3), _coordinate, _coordinate), max_size=30),
+        st.integers(0, 6),
+    )
+    def test_equals_oracle_at_any_rounding(self, rows, decimals):
+        corpus = _corpus(rows)
+        assert (
+            corpus.distinct_locations_per_user(decimals).tolist()
+            == _locations_oracle(corpus, decimals).tolist()
+        )
+
+    def test_empty_corpus(self):
+        corpus = _corpus([])
+        assert corpus.distinct_locations_per_user().shape == (0,)
+        assert corpus.distinct_locations_per_user().dtype == np.int64
+
+    def test_single_user(self):
+        corpus = _corpus([(7, -33.0, 151.0), (7, -33.0, 151.0), (7, -33.1, 151.0)])
+        assert corpus.distinct_locations_per_user().tolist() == [2]
+
+    def test_signed_zeros_are_one_location(self):
+        corpus = _corpus([(1, 0.0, -0.0), (1, -0.0, 0.0), (1, 0.0, 0.0), (2, -0.0, -0.0)])
+        assert corpus.distinct_locations_per_user().tolist() == [1, 1]
+        assert _locations_oracle(corpus).tolist() == [1, 1]
+
+    def test_rounding_merges_and_splits(self):
+        # -33.86784999 and -33.86785001 straddle the .00005 edge and
+        # round apart; 151.207315 and 151.20732 round together.
+        corpus = _corpus([
+            (1, -33.86784999, 151.20732),
+            (1, -33.86785001, 151.20732),
+            (1, -33.86785001, 151.207315),
+        ])
+        assert corpus.distinct_locations_per_user().tolist() == _locations_oracle(
+            corpus
+        ).tolist() == [2]
+
+    def test_generated_corpus(self, small_corpus):
+        assert np.array_equal(
+            small_corpus.distinct_locations_per_user(), _locations_oracle(small_corpus)
+        )
 
 
 class TestStatsAndSubset:

@@ -27,6 +27,19 @@ class TestPearson:
         assert ours.r == pytest.approx(theirs.statistic, rel=1e-10)
         assert ours.p_value == pytest.approx(theirs.pvalue, rel=1e-6)
 
+    @pytest.mark.parametrize("n", [3, 4, 20, 60, 10_000])
+    def test_p_value_is_scipy_t_sf_bitwise(self, n):
+        # pearson computes the tail with scipy.special.stdtr; it must be
+        # exactly the scipy.stats.t.sf value it replaced.
+        rng = np.random.default_rng(n)
+        for rho in rng.uniform(-0.99, 0.99, 25):
+            x = rng.normal(0.0, 1.0, n)
+            y = rho * x + rng.normal(0.0, 1.0, n)
+            ours = pearson(x, y)
+            t = ours.r * np.sqrt((n - 2) / (1.0 - ours.r * ours.r))
+            expected = float(2.0 * scipy_stats.t.sf(abs(t), df=n - 2))
+            assert ours.p_value == expected
+
     def test_constant_series_degenerate(self):
         result = pearson(np.ones(10), np.arange(10.0))
         assert result.r == 0.0

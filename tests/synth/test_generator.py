@@ -1,5 +1,7 @@
 """Tests for repro.synth.generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,70 @@ class TestShardedGeneration:
             for (_, hi), (lo2, _) in zip(bounds, bounds[1:]):
                 assert hi == lo2
             assert all(hi > lo for lo, hi in bounds)
+
+
+def _columns_digest(result) -> str:
+    """SHA-256 over the generated columns, in a fixed order."""
+    digest = hashlib.sha256()
+    corpus = result.corpus
+    for column in (
+        corpus.user_ids, corpus.timestamps, corpus.lats, corpus.lons,
+        result.site_indices, result.home_sites,
+    ):
+        digest.update(np.ascontiguousarray(column).tobytes())
+    return digest.hexdigest()
+
+
+class TestPinnedOutput:
+    """The fill's output bytes, pinned to the per-tweet ``Coordinate`` loop.
+
+    The hashes were recorded from the generator that built two validated
+    ``Coordinate`` objects per favourite point and drew bearings with
+    ``rng.uniform``; the float fill must reproduce them exactly, so
+    cached corpora and every golden built on them stay valid.
+    """
+
+    @pytest.mark.parametrize(
+        ("overrides", "jobs", "expected"),
+        [
+            ({}, 1, "391e9a402611fb87adb566fd92a7f97e97c7e308dc567262bcebd6164dcead41"),
+            ({"bot_fraction": 0.01}, 1,
+             "8f252d430e973830fdc914fa9bf4ca74da0b908a869a01fb444d6099a00748c7"),
+            ({"diurnal_amplitude": 0.5}, 1,
+             "35174c2a7c47d02c2a17d01150da1729bd9751567d9cc770861c07de9a1bbe4b"),
+            ({"gazetteer": "synth:300"}, 1,
+             "f697f79a7c697247910ed18a00c042a44e6026cc0bd84dc69ed93b75ecec4d84"),
+            ({"bot_fraction": 0.01}, 2,
+             "8f252d430e973830fdc914fa9bf4ca74da0b908a869a01fb444d6099a00748c7"),
+        ],
+        ids=["default", "bots", "diurnal", "synth300", "bots-jobs2"],
+    )
+    def test_column_digest(self, overrides, jobs, expected):
+        result = generate_corpus(SynthConfig(n_users=2_000, **overrides), jobs=jobs)
+        assert _columns_digest(result) == expected
+
+    def test_uniform_is_scaled_random(self):
+        # The fill draws rng.uniform(0.0, h) as h * rng.random(); numpy
+        # computes uniform as low + (high - low) * next_double, so the
+        # two agree bit for bit.  A numpy that breaks this breaks the pins.
+        a = np.random.default_rng(20150413)
+        b = np.random.default_rng(20150413)
+        for h in (360.0, 1.0, 0.3, 7_862_400.0, 1e-300, 1e300):
+            for _ in range(200):
+                assert a.uniform(0.0, h) == 0.0 + h * b.random()
+        assert a.random() == b.random()
+
+    def test_invalid_latitude_raises(self, monkeypatch):
+        from repro.geo.coords import CoordinateError
+        from repro.synth import generator
+
+        monkeypatch.setattr(
+            generator, "scatter_point", lambda site, rng: (91.0, 151.0)
+        )
+        config = SynthConfig(n_users=20, bot_fraction=0.5, bot_min_tweets=1,
+                             bot_max_tweets=2)
+        with pytest.raises(CoordinateError, match="latitude"):
+            generate_corpus(config)
 
 
 class TestTableOneShape:

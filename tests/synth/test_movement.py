@@ -80,7 +80,7 @@ class TestScatterPoint:
     def test_points_not_all_identical(self, world):
         rng = np.random.default_rng(4)
         site = world.sites[0]
-        points = {scatter_point(site, rng).as_tuple() for _ in range(20)}
+        points = {scatter_point(site, rng) for _ in range(20)}
         assert len(points) > 1
 
 

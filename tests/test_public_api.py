@@ -34,3 +34,29 @@ def test_unknown_attribute_raises_attribute_error():
 
 def test_cli_scale_choices_match_the_enum():
     assert list(SCALES) == [s.value for s in Scale]
+
+
+#: The experiments package's public names (resolved lazily since the
+#: pipeline imports single experiment modules).
+EXPERIMENTS_ALL = [
+    "DistanceAnalysisResult", "ExperimentContext", "ExperimentSuiteResult",
+    "Fig1Result", "Fig2Result", "Fig3Result", "Fig4Result", "ForecastResult",
+    "GroundTruthResult", "ScaleSpec", "Table1Result", "Table2Result",
+    "default_scale_specs", "generate_report", "reproduction_checklist",
+    "run_all_experiments", "run_distance_analysis", "run_fig1", "run_fig2",
+    "run_fig3", "run_fig4", "run_forecast_experiment",
+    "run_ground_truth_validation", "run_table1", "run_table2", "true_area_flows",
+]
+
+
+def test_experiments_all_and_dir():
+    import repro.experiments as experiments
+
+    assert sorted(experiments.__all__) == EXPERIMENTS_ALL
+    assert set(EXPERIMENTS_ALL) <= set(dir(experiments))
+    for name in EXPERIMENTS_ALL:
+        value = getattr(experiments, name)
+        assert value.__name__ == name
+        assert value.__module__.startswith("repro.experiments.")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        experiments.no_such_name
